@@ -1,47 +1,15 @@
 #include "core/accelerator.h"
 
-#include <mutex>
-
 #include "core/analytic.h"
 #include "encode/instructions.h"
 
 namespace serpens::core {
 
-struct PreparedMatrix::DecodeCache {
-    std::once_flag once;
-    std::unique_ptr<const sim::DecodedImage> decoded;
-};
-
-std::shared_ptr<PreparedMatrix::DecodeCache> PreparedMatrix::make_cache()
+PreparedMatrix PreparedMatrix::from_image(const encode::SerpensImage& image,
+                                          unsigned threads)
 {
-    return std::make_shared<DecodeCache>();
-}
-
-const sim::DecodedImage& PreparedMatrix::decoded(unsigned threads) const
-{
-    std::call_once(cache_->once, [&] {
-        sim::DecodeOptions options;
-        options.threads = threads;
-        // The packed image is hazard-verified here, once, instead of on
-        // every simulate call.
-        options.verify_hazards = true;
-        cache_->decoded = std::make_unique<const sim::DecodedImage>(
-            sim::DecodedImage::decode(*image_, options));
-    });
-    return *cache_->decoded;
-}
-
-bool PreparedMatrix::decode_cached() const
-{
-    return cache_->decoded != nullptr;
-}
-
-std::uint64_t PreparedMatrix::memory_footprint_bytes() const
-{
-    std::uint64_t bytes = image_->memory_bytes();
-    if (decode_cached())
-        bytes += cache_->decoded->memory_bytes();
-    return bytes;
+    return PreparedMatrix(
+        sim::DecodedImage::decode(image, {.threads = threads}));
 }
 
 Accelerator::Accelerator(SerpensConfig config) : config_(config)
@@ -58,27 +26,16 @@ PreparedMatrix Accelerator::prepare(const sparse::CooMatrix& m) const
 {
     encode::EncodeOptions options;
     options.threads = config_.encode_threads;
-    return PreparedMatrix(encode::encode_matrix(m, config_.arch, options));
+    return PreparedMatrix::from_image(
+        encode::encode_matrix(m, config_.arch, options), config_.sim_threads);
 }
 
-double Accelerator::cycles_to_ms(const sim::CycleStats& s) const
+template <typename Stats>
+double Accelerator::cycles_to_ms(const Stats& s) const
 {
     // The A-stream is the only multi-channel burst consumer; streaming
     // efficiency stretches its cycles. Vector streams are single sequential
     // channels and run at full rate.
-    const double compute =
-        static_cast<double>(s.compute_cycles) / config_.hbm.stream_efficiency;
-    const double cycles = compute + static_cast<double>(s.x_load_cycles) +
-                          static_cast<double>(s.y_phase_cycles) +
-                          static_cast<double>(s.fill_cycles);
-    return cycles / (config_.frequency_mhz * 1e3) +
-           config_.invocation_overhead_us / 1e3;
-}
-
-double Accelerator::batch_cycles_to_ms(const sim::BatchCycleStats& s) const
-{
-    // Same per-term weighting as cycles_to_ms; the host->device kickoff is
-    // paid once for the whole SpMM invocation, not per vector.
     const double compute =
         static_cast<double>(s.compute_cycles) / config_.hbm.stream_efficiency;
     const double cycles = compute + static_cast<double>(s.x_load_cycles) +
@@ -116,14 +73,8 @@ RunResult Accelerator::run(const PreparedMatrix& prepared,
                            std::span<const float> x, std::span<const float> y,
                            float alpha, float beta) const
 {
-    const sim::SimOptions options = sim_options();
-
-    sim::SimResult sim =
-        config_.decode_cache
-            ? sim::simulate_spmv_decoded(prepared.decoded(config_.sim_threads),
-                                         x, y, alpha, beta, options)
-            : sim::simulate_spmv(prepared.image(), x, y, alpha, beta, options);
-
+    sim::SimResult sim = sim::simulate_spmv_decoded(
+        prepared.decoded(), x, y, alpha, beta, sim_options());
     return finish_run(prepared.nnz(), std::move(sim.y), sim.cycles);
 }
 
@@ -138,28 +89,14 @@ BatchRunResult Accelerator::run_batch(
     BatchRunResult result;
     result.per_vector.reserve(xs.size());
 
-    if (!config_.decode_cache) {
-        // Honor the knob's contract even for batches: every column runs
-        // the packed reference walk, one pass each — the differential
-        // cross-check mode stays meaningful under --batch. The batched
-        // device accounting comes from the packed image and is
-        // bit-identical to the decoded path's.
-        for (std::size_t b = 0; b < xs.size(); ++b)
-            result.per_vector.push_back(
-                run(prepared, xs[b], ys[b], alpha, beta));
-        result.batch_cycles =
-            sim::batch_cycle_stats(prepared.image(), xs.size(), sim_options());
-    } else {
-        sim::SimBatchResult batch = sim::simulate_spmv_batch(
-            prepared.decoded(config_.sim_threads), xs, ys, alpha, beta,
-            sim_options());
-        for (std::vector<float>& y : batch.y)
-            result.per_vector.push_back(
-                finish_run(prepared.nnz(), std::move(y), batch.cycles));
-        result.batch_cycles = batch.batch_cycles;
-    }
+    sim::SimBatchResult batch = sim::simulate_spmv_batch(
+        prepared.decoded(), xs, ys, alpha, beta, sim_options());
+    for (std::vector<float>& y : batch.y)
+        result.per_vector.push_back(
+            finish_run(prepared.nnz(), std::move(y), batch.cycles));
+    result.batch_cycles = batch.batch_cycles;
 
-    result.batch_time_ms = batch_cycles_to_ms(result.batch_cycles);
+    result.batch_time_ms = cycles_to_ms(result.batch_cycles);
     result.amortized_time_ms =
         result.batch_time_ms / static_cast<double>(xs.size());
     return result;
@@ -177,7 +114,7 @@ RunResult Accelerator::run_program(const PreparedMatrix& prepared,
                                    std::span<const float> y) const
 {
     const encode::ControlProgram decoded = encode::decode_instructions(
-        program, prepared.image().params().ha_channels);
+        program, prepared.decoded().params().ha_channels);
     encode::validate_program(decoded, prepared.image());
     return run(prepared, x, y, decoded.alpha, decoded.beta);
 }

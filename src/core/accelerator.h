@@ -9,15 +9,15 @@
 // distribution, index coalescing, non-zero reordering) once; `run` executes
 // the cycle-level simulation and derives wall-clock time and the paper's
 // metrics from the configured operating point. A prepared matrix can be run
-// many times with different vectors, exactly like a real device buffer —
-// and, like a device buffer, its decoded form is cached: the first run
-// expands the packed lane streams once (sim::DecodedImage) and every later
-// run or batch streams the cache-friendly expansion instead of re-unpacking
-// bits. `run_batch` pushes B right-hand sides through one decoded pass
-// (Sextans-style SpMM amortization on the host).
+// many times with different vectors, exactly like a real device buffer.
+// What stays resident is the padding-free decoded stream
+// (sim::DecodedImage), built once at prepare/load: every run or batch
+// streams it, and the padded HBM image is rebuilt from it byte for byte
+// only when a caller asks for it (image()). `run_batch` pushes B
+// right-hand sides through one decoded pass (Sextans-style SpMM
+// amortization on the host).
 #pragma once
 
-#include <memory>
 #include <span>
 
 #include "analysis/metrics.h"
@@ -29,50 +29,46 @@ namespace serpens::core {
 
 class PreparedMatrix {
 public:
-    const encode::SerpensImage& image() const { return *image_; }
-    sparse::index_t rows() const { return image_->rows(); }
-    sparse::index_t cols() const { return image_->cols(); }
-    sparse::nnz_t nnz() const { return image_->stats().nnz; }
-    const encode::EncodeStats& encode_stats() const { return image_->stats(); }
+    // The padded HBM image, rebuilt from the resident decoded stream on
+    // every call (sim::DecodedImage::to_image) — byte-identical to the image
+    // this matrix was prepared from. Hold the result by value; it is the
+    // write path (WAL, --save-image), the instruction compiler's input and
+    // the packed oracle's input, never the run path.
+    encode::SerpensImage image() const { return decoded_.to_image(); }
+    sparse::index_t rows() const { return decoded_.rows(); }
+    sparse::index_t cols() const { return decoded_.cols(); }
+    sparse::nnz_t nnz() const { return decoded_.nnz(); }
+    const encode::EncodeStats& encode_stats() const { return decoded_.stats(); }
 
-    // Wrap an image obtained elsewhere (e.g. encode::load_image_file).
-    static PreparedMatrix from_image(encode::SerpensImage image)
+    // Wrap an image obtained elsewhere (e.g. encode::load_image_file):
+    // hazard-verify and decode it now, on `threads` workers (1 = serial,
+    // 0 = one per hardware thread); the padded lines are then dropped.
+    static PreparedMatrix from_image(const encode::SerpensImage& image,
+                                     unsigned threads = 1);
+
+    // The resident decode-once expansion every run/batch streams.
+    const sim::DecodedImage& decoded() const { return decoded_; }
+
+    // No-op, kept for callers written when the decode was lazy: the
+    // decoded stream is built eagerly at prepare/from_image.
+    void warm_decode() const {}
+
+    // Host bytes this prepared matrix keeps resident: the decoded stream
+    // (SoA arrays, segment tables, lane masks) and its accumulator bank.
+    // The serving registry charges this number against
+    // resident_budget_bytes.
+    std::uint64_t memory_footprint_bytes() const
     {
-        return PreparedMatrix(std::move(image));
+        return decoded_.memory_bytes();
     }
-
-    // The decode-once expansion of the packed image, built on first use
-    // (thread-safe) and shared by every subsequent run/batch on this
-    // matrix. `threads` parallelizes only the first, building call.
-    const sim::DecodedImage& decoded(unsigned threads = 1) const;
-
-    // True once decoded() has materialized the cache (for tests/telemetry).
-    bool decode_cached() const;
-
-    // Populate the decode cache now instead of on the first run — the
-    // admission path of the serving registry and the CLI's --load-image,
-    // so a resident matrix pays encode + decode exactly once up front.
-    void warm_decode(unsigned threads = 1) const { (void)decoded(threads); }
-
-    // Host bytes this prepared matrix keeps resident: the packed image
-    // (lines + segment tables) plus, once the decode cache is populated,
-    // the SoA expansion and its accumulator bank. The serving registry
-    // charges this number against resident_budget_bytes.
-    std::uint64_t memory_footprint_bytes() const;
 
 private:
-    friend class Accelerator;
-    explicit PreparedMatrix(encode::SerpensImage image)
-        : image_(std::make_unique<encode::SerpensImage>(std::move(image)))
+    explicit PreparedMatrix(sim::DecodedImage decoded)
+        : decoded_(std::move(decoded))
     {
     }
 
-    struct DecodeCache;  // once_flag + image; boxed so moves stay cheap
-
-    std::unique_ptr<encode::SerpensImage> image_;
-    std::shared_ptr<DecodeCache> cache_ = make_cache();
-
-    static std::shared_ptr<DecodeCache> make_cache();
+    sim::DecodedImage decoded_;
 };
 
 struct RunResult {
@@ -115,9 +111,8 @@ public:
     PreparedMatrix prepare(const sparse::CooMatrix& m) const;
 
     // Execute y = alpha * A * x + beta * y. x.size() == cols,
-    // y.size() == rows. Runs off the cached decode when
-    // config().decode_cache is set (the default); results are bit-identical
-    // either way.
+    // y.size() == rows. Streams the resident decoded form; y and CycleStats
+    // are bit-identical to the packed walk over image().
     RunResult run(const PreparedMatrix& prepared, std::span<const float> x,
                   std::span<const float> y, float alpha = 1.0f,
                   float beta = 0.0f) const;
@@ -128,11 +123,8 @@ public:
     // bits, same CycleStats, same per-vector modeled time), and the result
     // additionally carries the batched device model: one SpMM-mode
     // invocation streaming A once per config().batch_columns-wide column
-    // block, with amortized per-SpMV device time. With
-    // config().decode_cache off the columns run the packed reference walk
-    // one by one instead (the batch accounting is computed from the packed
-    // image and is bit-identical), so the differential knob keeps its
-    // meaning under batching. xs and ys must be the same non-zero length.
+    // block, with amortized per-SpMV device time. xs and ys must be the
+    // same non-zero length.
     BatchRunResult run_batch(const PreparedMatrix& prepared,
                              std::span<const std::vector<float>> xs,
                              std::span<const std::vector<float>> ys,
@@ -170,11 +162,11 @@ public:
 
 private:
     // Convert a simulated cycle count into modeled wall-clock milliseconds
-    // (HBM streaming efficiency + invocation overhead).
-    double cycles_to_ms(const sim::CycleStats& s) const;
-    // Same conversion for a batched invocation: one kickoff overhead for
-    // the whole batch, the same per-term weighting otherwise.
-    double batch_cycles_to_ms(const sim::BatchCycleStats& s) const;
+    // (HBM streaming efficiency + invocation overhead). Takes a single
+    // SpMV's CycleStats or a batched invocation's BatchCycleStats: a batch
+    // pays one kickoff overhead, with the same per-term weighting.
+    template <typename Stats>
+    double cycles_to_ms(const Stats& s) const;
 
     // Shared run()/run_batch() plumbing.
     sim::SimOptions sim_options() const;

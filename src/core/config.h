@@ -34,14 +34,10 @@ struct SerpensConfig {
     // Host-side worker threads for prepare()'s per-channel encode
     // (1 = serial, 0 = one per hardware thread); never changes the image.
     unsigned encode_threads = 1;
-    // Host-side worker threads for run()'s per-channel simulator loop
-    // (same convention); never changes the simulated y or CycleStats.
+    // Host-side worker threads for run()'s per-channel simulator loop and
+    // the one-time decode at prepare (same convention); never changes the
+    // simulated y or CycleStats.
     unsigned sim_threads = 1;
-    // Decode each prepared matrix's packed image once and run repeated
-    // SpMV off the cached SoA expansion (sim::DecodedImage). Off = every
-    // run re-unpacks the packed lanes (the differential reference engine).
-    // Either way y and CycleStats are bit-identical.
-    bool decode_cache = true;
     // Batched device mode (sim::BatchCycleStats): dense columns one
     // A-stream pass feeds. This is the Sextans-style SpMM block width —
     // each PE multiply-accumulates this many right-hand-side columns per

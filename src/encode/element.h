@@ -9,10 +9,12 @@
 //
 // Index word layout (bit 31 .. bit 0):
 //   [31]     valid      0 marks a padding (null) element inserted by the
-//                       reorderer; the PE pipeline treats it as a bubble
+//                       reorderer; the PE pipeline treats it as a bubble.
+//                       All 64 bits of a padding slot are zero (decode
+//                       rejects any other padding word).
 //   [30:16]  pair_addr  PE-local URAM address (15 bits)
 //   [15]     half       which FP32 half of the 72-bit URAM word (row parity)
-//   [14]     reserved
+//   [14]     reserved   always 0; decode rejects an element that sets it
 //   [13:0]   col_off    column offset within the current x segment (14 bits)
 #pragma once
 
@@ -25,6 +27,7 @@ namespace serpens::encode {
 
 inline constexpr unsigned kColOffBits = 14;
 inline constexpr unsigned kColOffLo = 0;
+inline constexpr unsigned kReservedBit = 14;
 inline constexpr unsigned kHalfBit = 15;
 inline constexpr unsigned kAddrBits = 15;
 inline constexpr unsigned kAddrLo = 16;
@@ -67,6 +70,7 @@ public:
     bool valid() const { return extract_bits(index_word(), kValidBit, 1) != 0; }
     std::uint32_t pair_addr() const { return extract_bits(index_word(), kAddrLo, kAddrBits); }
     bool half() const { return extract_bits(index_word(), kHalfBit, 1) != 0; }
+    bool reserved() const { return extract_bits(index_word(), kReservedBit, 1) != 0; }
     std::uint32_t col_off() const { return extract_bits(index_word(), kColOffLo, kColOffBits); }
     float value() const { return bits_float(static_cast<std::uint32_t>(bits_)); }
 

@@ -20,6 +20,7 @@ public:
     const std::string& name() const { return name_; }
 
     void push(const Line512& line) { lines_.push_back(line); }
+    void reserve(std::size_t lines) { lines_.reserve(lines); }
     std::size_t size() const { return lines_.size(); }
     bool empty() const { return lines_.empty(); }
     const Line512& line(std::size_t i) const { return lines_[i]; }

@@ -79,7 +79,7 @@ void export_registry_metrics(MetricsRegistry& reg,
             depth += static_cast<double>(d.segment_depth(seg));
         for (unsigned c = 0; c < d.channels(); ++c) {
             const double lines =
-                static_cast<double>(d.channel(c).total_lines);
+                static_cast<double>(d.channel(c).lane_mask.size());
             reg.gauge("serpens_channel_utilization",
                       "Channel's share of the stall-inclusive device passes "
                       "for one resident matrix (1.0 = perfectly balanced).",

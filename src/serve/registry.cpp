@@ -21,7 +21,6 @@ MatrixRegistry::admit(const std::string& name, const sparse::CooMatrix& m)
     // proceed concurrently and get() never blocks behind preprocessing.
     auto prepared = std::make_shared<const core::PreparedMatrix>(
         accelerator_.prepare(m));
-    prepared->warm_decode(decode_threads_);
     const std::uint64_t bytes = prepared->memory_footprint_bytes();
     return install(name, std::move(prepared), bytes, /*paid_encode=*/true);
 }
@@ -33,8 +32,7 @@ MatrixRegistry::admit_image(const std::string& name, encode::SerpensImage image)
                       accelerator_.config().arch.ha_channels,
                   "image was encoded for a different channel count");
     auto prepared = std::make_shared<const core::PreparedMatrix>(
-        core::PreparedMatrix::from_image(std::move(image)));
-    prepared->warm_decode(decode_threads_);
+        core::PreparedMatrix::from_image(image, decode_threads_));
     const std::uint64_t bytes = prepared->memory_footprint_bytes();
     return install(name, std::move(prepared), bytes, /*paid_encode=*/false);
 }

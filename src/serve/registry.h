@@ -1,14 +1,14 @@
 // Resident-matrix registry: the serving layer's device-memory model.
 //
 // A production Serpens deployment keeps several preprocessed matrices
-// resident (their packed HBM images plus the host-side decode-once
-// expansion) and serves SpMV requests against them by name. MatrixRegistry
-// owns those residents:
+// resident (the host-side decode-once expansion of each packed HBM image;
+// the padded image itself is rebuilt only on demand) and serves SpMV
+// requests against them by name. MatrixRegistry owns those residents:
 //
 //   - admit(name, coo)     encode + decode exactly once, up front — a hit
 //                          on a resident is O(1) and pays neither again
 //   - admit_image(name, img)  the preprocessed-offline path (--load-image):
-//                          skips encode, still warms the decode cache
+//                          skips encode, still decodes once up front
 //   - get(name)            shared ownership of the resident; bumps LRU
 //
 // Every resident is charged PreparedMatrix::memory_footprint_bytes()
@@ -100,7 +100,7 @@ private:
         std::list<std::string>::iterator lru_pos;
     };
 
-    // Install an already-warmed prepared matrix under `name` (both admit
+    // Install an already-decoded prepared matrix under `name` (both admit
     // paths funnel here). Caller computed `bytes` outside the lock;
     // `paid_encode` records whether this admission ran the encode stage
     // (counted only once the budget check passes).

@@ -19,7 +19,7 @@ DecodedImage DecodedImage::decode(const encode::SerpensImage& img,
     d.params_ = img.params();
     d.rows_ = img.rows();
     d.cols_ = img.cols();
-    d.num_segments_ = img.num_segments();
+    const unsigned segments = img.num_segments();
 
     // Highest PE-local URAM address any row of this matrix maps to (the
     // address is monotone in the row index for both mapping modes).
@@ -37,15 +37,16 @@ DecodedImage DecodedImage::decode(const encode::SerpensImage& img,
         const hbm::ChannelStream& stream =
             img.channel(static_cast<unsigned>(ch));
         Channel& c = d.channels_[ch];
-        c.seg_begin.reserve(d.num_segments_ + 1);
-        c.seg_lines.resize(d.num_segments_);
+        c.seg_begin.reserve(segments + 1);
+        c.seg_lines.resize(segments);
+        c.lane_mask.reserve(stream.size());
         const std::size_t slot_bound = stream.size() * lanes;
         c.acc_off.reserve(slot_bound);
         c.col.reserve(slot_bound);
         c.value.reserve(slot_bound);
 
         std::size_t cursor = 0;
-        for (unsigned seg = 0; seg < d.num_segments_; ++seg) {
+        for (unsigned seg = 0; seg < segments; ++seg) {
             const std::uint32_t lines =
                 img.segment_lines(static_cast<unsigned>(ch), seg);
             c.seg_lines[seg] = lines;
@@ -54,39 +55,84 @@ DecodedImage DecodedImage::decode(const encode::SerpensImage& img,
                 static_cast<std::uint32_t>(seg) * window;
             for (std::uint32_t i = 0; i < lines; ++i) {
                 const hbm::Line512& line = stream.line(cursor + i);
+                std::uint8_t mask = 0;
                 for (unsigned lane = 0; lane < lanes; ++lane) {
-                    const auto e = EncodedElement::from_bits(line.lane64(lane));
-                    if (!e.valid())
+                    const std::uint64_t bits = line.lane64(lane);
+                    const auto e = EncodedElement::from_bits(bits);
+                    if (!e.valid()) {
+                        SERPENS_ASSERT(bits == 0,
+                                       "padding slot carries non-zero bits");
                         continue;
+                    }
+                    SERPENS_ASSERT(!e.reserved(),
+                                   "element sets the reserved index bit");
                     SERPENS_ASSERT(e.pair_addr() < ua,
                                    "element addresses a URAM word beyond the "
                                    "image's row range");
+                    mask = static_cast<std::uint8_t>(mask | (1u << lane));
                     c.acc_off.push_back(
                         ((e.pair_addr() * lanes + lane) << 1) |
                         (e.half() ? 1u : 0u));
                     c.col.push_back(seg_base + e.col_off());
                     c.value.push_back(e.value());
                 }
+                c.lane_mask.push_back(mask);
             }
             cursor += lines;
         }
         c.seg_begin.push_back(c.value.size());
-        c.total_lines = cursor;
         c.acc_off.shrink_to_fit();
         c.col.shrink_to_fit();
         c.value.shrink_to_fit();
     });
 
-    d.seg_depth_.assign(d.num_segments_, 0);
+    d.seg_depth_.assign(segments, 0);
+    d.stats_.num_segments = segments;
     for (const Channel& c : d.channels_) {
-        for (unsigned s = 0; s < d.num_segments_; ++s)
+        for (unsigned s = 0; s < segments; ++s)
             d.seg_depth_[s] = std::max(d.seg_depth_[s], c.seg_lines[s]);
-        d.total_lines_ += c.total_lines;
-        d.total_slots_ += c.total_lines * lanes;
-        d.padding_slots_ +=
-            c.total_lines * lanes - static_cast<std::uint64_t>(c.value.size());
+        d.stats_.total_lines += c.lane_mask.size();
+        d.stats_.nnz += c.value.size();
     }
+    d.stats_.total_slots = d.stats_.total_lines * lanes;
+    d.stats_.padding_slots = d.stats_.total_slots - d.stats_.nnz;
     return d;
+}
+
+encode::SerpensImage DecodedImage::to_image() const
+{
+    encode::SerpensImage img(params_, rows_, cols_);
+    const unsigned lanes = params_.pes_per_channel;
+    for (unsigned ch = 0; ch < channels(); ++ch) {
+        const Channel& c = channels_[ch];
+        hbm::ChannelStream& stream = img.mutable_channel(ch);
+        stream.reserve(c.lane_mask.size());
+        std::size_t line_at = 0, elem = 0;
+        for (unsigned seg = 0; seg < num_segments(); ++seg) {
+            img.set_segment_lines(ch, seg, c.seg_lines[seg]);
+            const std::uint32_t seg_base = seg * params_.window;
+            for (std::uint32_t i = 0; i < c.seg_lines[seg]; ++i, ++line_at) {
+                // Padding lanes stay all-zero (decode enforced that they
+                // were); valid lanes take the next elements in lane order.
+                hbm::Line512 line;
+                for (unsigned lane = 0; lane < lanes; ++lane) {
+                    if (((c.lane_mask[line_at] >> lane) & 1u) == 0)
+                        continue;
+                    const std::uint32_t off = c.acc_off[elem];
+                    line.set_lane64(lane, EncodedElement::make(
+                                              (off >> 1) / lanes,
+                                              (off & 1u) != 0,
+                                              c.col[elem] - seg_base,
+                                              c.value[elem])
+                                              .bits());
+                    ++elem;
+                }
+                stream.push(line);
+            }
+        }
+    }
+    img.set_stats(stats_);
+    return img;
 }
 
 std::uint64_t DecodedImage::memory_bytes() const
@@ -98,6 +144,7 @@ std::uint64_t DecodedImage::memory_bytes() const
         bytes += c.value.size() * sizeof(float);
         bytes += c.seg_begin.size() * sizeof(std::size_t);
         bytes += c.seg_lines.size() * sizeof(std::uint32_t);
+        bytes += c.lane_mask.size() * sizeof(std::uint8_t);
     }
     bytes += seg_depth_.size() * sizeof(std::uint32_t);
     // The decoded walk's accumulator bank: 2 half-words per URAM address,

@@ -1,10 +1,10 @@
-// Decode-once execution image (host-side; Sextans-style SpMM amortization).
+// Decode-once execution image: the resident form of a prepared matrix.
 //
 // The packed SerpensImage is exactly what the hardware streams from HBM:
-// 64-bit lane elements whose fields must be unpacked on every walk. The
-// simulator's iterative workloads (PageRank, BFS rounds, batched serving)
-// walk the *same* image hundreds of times, so DecodedImage expands each
-// channel's lane stream exactly once into a cache-friendly SoA layout:
+// 64-bit lane elements whose fields must be unpacked on every walk, with
+// null elements wherever reordering could not fill a PE slot (59-81% of
+// the slots on power-law matrices). DecodedImage expands each channel's
+// lane stream exactly once into a cache-friendly SoA layout:
 //
 //   acc_off[i]  channel-local accumulator offset, half-select folded in:
 //               ((pair_addr * lanes + lane) << 1) | half — address-major,
@@ -15,6 +15,8 @@
 //               it was a 16 KiB hop per row)
 //   col[i]      absolute column index (segment base + col_off folded in)
 //   value[i]    the FP32 value
+//   lane_mask[l] one byte per packed line: bit k set iff lane k of line l
+//               holds a valid element
 //
 // Padding slots are elided entirely — they contribute no FP op, so skipping
 // them preserves the exact per-accumulator addition order of the packed
@@ -22,6 +24,13 @@
 // Per-segment extents (seg_begin) and line counts are preserved so every
 // CycleStats term of the packed walk stays derivable; simulate results are
 // bit-identical between the packed and decoded engines.
+//
+// The expansion is lossless: decode rejects padding slots with non-zero
+// bits and valid elements with the reserved index bit set, so every lane
+// of every line is either all-zero or re-encodable from (acc_off, col,
+// value), and the lane masks place the elements back on their lines.
+// to_image() therefore rebuilds the packed image byte for byte, which is
+// what lets core::PreparedMatrix keep only this form resident.
 //
 // `used_addrs` shrinks the accumulator bank from the architectural
 // U*D address space to the addresses the matrix's rows can actually reach,
@@ -41,7 +50,7 @@ struct DecodeOptions {
     // hardware thread); the decoded arrays are identical for every count.
     unsigned threads = 1;
     // Verify the packed image's hazard invariant once, here, instead of on
-    // every simulate call.
+    // every simulate call (off only to time the expansion alone).
     bool verify_hazards = true;
 };
 
@@ -56,21 +65,29 @@ public:
         // Element extent of segment s is [seg_begin[s], seg_begin[s + 1]).
         std::vector<std::size_t> seg_begin;
         // Lines this channel contributes per segment (the packed
-        // segment_lines row), and their total.
+        // segment_lines row).
         std::vector<std::uint32_t> seg_lines;
-        std::uint64_t total_lines = 0;
+        // Valid-lane bitmask of each packed line, in stream order; its
+        // size is the channel's line count.
+        std::vector<std::uint8_t> lane_mask;
     };
 
     // Expand a packed image. Throws CheckError if an element addresses a
-    // URAM word beyond the image's row range (a malformed image; the packed
-    // engine would silently accumulate into a dead slot).
+    // URAM word beyond the image's row range (the packed engine would
+    // silently accumulate into a dead slot), if a padding slot carries any
+    // non-zero bit, or if a valid element sets the reserved index bit —
+    // the last two would make to_image() inexact.
     static DecodedImage decode(const encode::SerpensImage& img,
                                const DecodeOptions& options = {});
+
+    // Rebuild the packed HBM image this expansion was decoded from, byte
+    // for byte (same lines, segment tables and EncodeStats).
+    encode::SerpensImage to_image() const;
 
     const encode::EncodeParams& params() const { return params_; }
     sparse::index_t rows() const { return rows_; }
     sparse::index_t cols() const { return cols_; }
-    unsigned num_segments() const { return num_segments_; }
+    unsigned num_segments() const { return stats_.num_segments; }
     unsigned channels() const { return static_cast<unsigned>(channels_.size()); }
     const Channel& channel(unsigned c) const { return channels_[c]; }
 
@@ -82,32 +99,26 @@ public:
     // compute-cycle depth for the segment).
     std::uint32_t segment_depth(unsigned s) const { return seg_depth_[s]; }
 
-    // Slot tallies of one full walk (identical to the packed engine's).
-    std::uint64_t total_slots() const { return total_slots_; }
-    std::uint64_t padding_slots() const { return padding_slots_; }
-    std::uint64_t total_lines() const { return total_lines_; }
+    // The packed image's EncodeStats: its slot and line tallies of one
+    // full walk are the packed engine's.
+    const encode::EncodeStats& stats() const { return stats_; }
+    std::uint64_t nnz() const { return stats_.nnz; }
 
-    // Valid (non-padding) elements across all channels.
-    std::uint64_t nnz() const { return total_slots_ - padding_slots_; }
-
-    // Resident bytes of the expansion: the per-channel SoA arrays and
-    // segment tables, plus the single-vector accumulator bank the decoded
-    // walk allocates (channels * lanes * used_addrs * 2 floats). Together
-    // with the packed image this is a prepared matrix's full working set —
-    // what the serving registry charges against its byte budget.
+    // Resident bytes of the expansion: the per-channel SoA arrays, segment
+    // tables and lane masks, plus the single-vector accumulator bank the
+    // decoded walk allocates (channels * lanes * used_addrs * 2 floats).
+    // This is a prepared matrix's full working set — what the serving
+    // registry charges against its byte budget.
     std::uint64_t memory_bytes() const;
 
 private:
     encode::EncodeParams params_;
     sparse::index_t rows_ = 0;
     sparse::index_t cols_ = 0;
-    unsigned num_segments_ = 0;
     std::uint32_t used_addrs_ = 0;
     std::vector<Channel> channels_;
     std::vector<std::uint32_t> seg_depth_;
-    std::uint64_t total_slots_ = 0;
-    std::uint64_t padding_slots_ = 0;
-    std::uint64_t total_lines_ = 0;
+    encode::EncodeStats stats_;
 };
 
 } // namespace serpens::sim

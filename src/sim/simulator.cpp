@@ -174,9 +174,9 @@ CycleStats decoded_phase_stats(const DecodedImage& img,
         prev_compute_depth = depth;
         stats.fill_cycles += options.fill_per_segment;
     }
-    stats.total_slots = img.total_slots();
-    stats.padding_slots = img.padding_slots();
-    stats.traffic.add_read(img.total_lines() * hbm::kLineBytes);
+    stats.total_slots = img.stats().total_slots;
+    stats.padding_slots = img.stats().padding_slots;
+    stats.traffic.add_read(img.stats().total_lines * hbm::kLineBytes);
     return stats;
 }
 
@@ -449,7 +449,8 @@ BatchCycleStats batch_cycle_stats(const DecodedImage& img, std::size_t batch,
 {
     return batch_stats_impl(
         img.num_segments(), img.rows(), img.cols(), img.params().window,
-        img.total_slots(), img.padding_slots(), img.total_lines(),
+        img.stats().total_slots, img.stats().padding_slots,
+        img.stats().total_lines,
         [&](unsigned seg) { return img.segment_depth(seg); }, batch, options);
 }
 

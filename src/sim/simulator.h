@@ -15,13 +15,16 @@
 // in order *is* the cycle-accurate execution; hazards were discharged by the
 // encoder and are re-verified here when `verify_hazards` is set.
 //
-// Two host-side engines walk the same machine:
+// Three host-side engines walk the same machine:
 //
-//   simulate_spmv          the packed engine and differential reference:
+//   simulate_spmv          the packed engine and differential oracle:
 //                          unpacks every 64-bit lane element from the HBM
 //                          image on every call, exactly as first written.
-//   simulate_spmv_decoded  decode-once engine: runs off a DecodedImage that
-//                          expanded the lane streams once, so repeated SpMV
+//                          core::PreparedMatrix does not keep the padded
+//                          image resident, so callers feed it the image
+//                          rebuilt by PreparedMatrix::image().
+//   simulate_spmv_decoded  decode-once engine: runs off the DecodedImage a
+//                          prepared matrix keeps resident, so repeated SpMV
 //                          on a fixed matrix skips per-element unpacking.
 //   simulate_spmv_batch    one decoded pass over B right-hand-side vectors
 //                          with a blocked accumulator (Sextans-style SpMM):
@@ -112,8 +115,8 @@ SimBatchResult simulate_spmv_batch(const DecodedImage& img,
 // Batched-device cycle accounting alone (no functional execution): price a
 // B-wide SpMM invocation from the image's per-segment extents. The two
 // overloads compute identical numbers from the packed image and from its
-// decoded expansion, so the accounting is available on both engine paths
-// (and with the decode cache disabled). options.batch_columns sets the
+// decoded expansion, so the packed oracle and the resident decoded form
+// price a batch identically. options.batch_columns sets the
 // dense-column block width; at batch = 1 the result's accounting fields
 // are bit-identical to the CycleStats of one simulate_spmv call with the
 // same options.

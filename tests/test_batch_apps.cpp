@@ -1,12 +1,16 @@
-// Application-level lockdown of the decode-once / batched path: PageRank
-// and traversal must produce bit-identical results whether each SpMV
-// re-unpacks the packed image (decode_cache off — the seed behavior) or
-// streams the cached decode, across thread counts and batch widths.
+// Application-level lockdown of the decoded / batched path: PageRank and
+// traversal must produce bit-identical results to the same recurrence run
+// through the packed-walk oracle (sim::simulate_spmv over the prepared
+// matrix's rebuilt padded image), across thread counts and batch widths.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
 
 #include "apps/pagerank.h"
 #include "apps/traversal.h"
 #include "sparse/convert.h"
+#include "sim/simulator.h"
 #include "sparse/generators.h"
 #include "util/bitpack.h"
 
@@ -16,14 +20,72 @@ namespace {
 using sparse::CooMatrix;
 using sparse::index_t;
 
-core::Accelerator make_accelerator(bool decode_cache, unsigned sim_threads)
+core::Accelerator make_accelerator(unsigned sim_threads)
 {
     core::SerpensConfig c = core::SerpensConfig::a16();
     c.arch.ha_channels = 2;
     c.arch.window = 128;
-    c.decode_cache = decode_cache;
     c.sim_threads = sim_threads;
     return core::Accelerator(c);
+}
+
+// apps::pagerank's recurrence with every SpMV through the packed oracle.
+PageRankResult oracle_pagerank(const CooMatrix& graph,
+                               const PageRankOptions& options)
+{
+    const CooMatrix p = transition_matrix(graph);
+    const encode::SerpensImage img = make_accelerator(1).prepare(p).image();
+    const auto n = static_cast<std::size_t>(p.rows());
+    PageRankResult result;
+    result.rank.assign(n, 1.0f / static_cast<float>(n));
+    const std::vector<float> teleport(
+        n, static_cast<float>((1.0 - options.damping) / static_cast<double>(n)));
+    for (int it = 0; it < options.max_iterations; ++it) {
+        const sim::SimResult run =
+            sim::simulate_spmv(img, result.rank, teleport,
+                               static_cast<float>(options.damping), 1.0f);
+        result.delta = 0.0;
+        for (std::size_t v = 0; v < n; ++v)
+            result.delta +=
+                std::abs(static_cast<double>(run.y[v]) - result.rank[v]);
+        result.rank = run.y;
+        result.iterations = it + 1;
+        if (result.delta < options.tolerance)
+            break;
+    }
+    return result;
+}
+
+// apps::multi_source_bfs's frontier recurrence for one source, with every
+// SpMV through the packed oracle.
+std::vector<int> oracle_bfs(const CooMatrix& reversed, index_t source)
+{
+    CooMatrix unit = reversed;
+    for (sparse::Triplet& e : unit.elements())
+        e.val = 1.0f;
+    const encode::SerpensImage img = make_accelerator(1).prepare(unit).image();
+    const index_t n = reversed.rows();
+    std::vector<int> levels(n, kUnreached);
+    std::vector<float> frontier(n, 0.0f);
+    const std::vector<float> zeros(n, 0.0f);
+    levels[source] = 0;
+    frontier[source] = 1.0f;
+    for (index_t depth = 1; depth < n; ++depth) {
+        const sim::SimResult round =
+            sim::simulate_spmv(img, frontier, zeros, 1.0f, 0.0f);
+        std::fill(frontier.begin(), frontier.end(), 0.0f);
+        bool advanced = false;
+        for (index_t v = 0; v < n; ++v) {
+            if (round.y[v] != 0.0f && levels[v] == kUnreached) {
+                levels[v] = static_cast<int>(depth);
+                frontier[v] = 1.0f;
+                advanced = true;
+            }
+        }
+        if (!advanced)
+            break;
+    }
+    return levels;
 }
 
 void expect_ranks_identical(const std::vector<float>& a,
@@ -36,7 +98,7 @@ void expect_ranks_identical(const std::vector<float>& a,
             << label << " vertex " << i;
 }
 
-// --- PageRank through the cached decode ---
+// --- PageRank: decoded engine vs packed oracle ---
 
 TEST(BatchApps, PageRankIdenticalAcrossEnginesAndThreads)
 {
@@ -45,19 +107,15 @@ TEST(BatchApps, PageRankIdenticalAcrossEnginesAndThreads)
     opt.max_iterations = 40;
     opt.tolerance = 1e-7;
 
-    const PageRankResult seed =
-        pagerank(make_accelerator(false, 1), g, opt);
-    for (const bool cache : {true, false}) {
-        for (const unsigned threads : {1u, 2u, 8u, 0u}) {
-            const PageRankResult r =
-                pagerank(make_accelerator(cache, threads), g, opt);
-            const std::string label = std::string("cache=") +
-                                      (cache ? "on" : "off") + " threads=" +
-                                      std::to_string(threads);
-            EXPECT_EQ(r.iterations, seed.iterations) << label;
-            EXPECT_DOUBLE_EQ(r.modeled_ms, seed.modeled_ms) << label;
-            expect_ranks_identical(r.rank, seed.rank, label);
-        }
+    const PageRankResult oracle = oracle_pagerank(g, opt);
+    const PageRankResult serial = pagerank(make_accelerator(1), g, opt);
+    for (const unsigned threads : {1u, 2u, 8u, 0u}) {
+        const PageRankResult r = pagerank(make_accelerator(threads), g, opt);
+        const std::string label = "threads=" + std::to_string(threads);
+        EXPECT_EQ(r.iterations, oracle.iterations) << label;
+        EXPECT_DOUBLE_EQ(r.delta, oracle.delta) << label;
+        EXPECT_DOUBLE_EQ(r.modeled_ms, serial.modeled_ms) << label;
+        expect_ranks_identical(r.rank, oracle.rank, label);
     }
 }
 
@@ -72,7 +130,7 @@ TEST(BatchApps, PersonalizedPageRankMatchesSequentialIteration)
     opt.tolerance = 0.0;  // fixed iteration count keeps columns comparable
 
     for (const unsigned threads : {1u, 8u}) {
-        const core::Accelerator acc = make_accelerator(true, threads);
+        const core::Accelerator acc = make_accelerator(threads);
         const PersonalizedPageRankResult batched =
             personalized_pagerank(acc, g, sources, opt);
         ASSERT_EQ(batched.rank.size(), sources.size());
@@ -110,7 +168,7 @@ TEST(BatchApps, PersonalizedPageRankConcentratesNearSource)
         path.add(v + 1, v, 1.0f);
     }
     const std::vector<index_t> sources = {2, 12};
-    const auto r = personalized_pagerank(make_accelerator(true, 1), path,
+    const auto r = personalized_pagerank(make_accelerator(1), path,
                                          sources, {});
     for (std::size_t b = 0; b < sources.size(); ++b) {
         for (index_t v = 0; v < n; ++v) {
@@ -125,7 +183,7 @@ TEST(BatchApps, PersonalizedPageRankConcentratesNearSource)
 TEST(BatchApps, PersonalizedPageRankRejectsBadInput)
 {
     const CooMatrix g = sparse::make_diagonal(8);
-    const core::Accelerator acc = make_accelerator(true, 1);
+    const core::Accelerator acc = make_accelerator(1);
     EXPECT_THROW(
         personalized_pagerank(acc, g, std::vector<index_t>{}, {}),
         std::invalid_argument);
@@ -143,17 +201,17 @@ TEST(BatchApps, MultiSourceBfsMatchesCpuReference)
     const sparse::CsrMatrix rev_csr = sparse::to_csr(rev);
     const std::vector<index_t> sources = {0, 3, 100, 0};  // duplicate ok
 
-    for (const bool cache : {true, false}) {
-        for (const unsigned threads : {1u, 2u, 8u, 0u}) {
-            const auto levels = multi_source_bfs(
-                make_accelerator(cache, threads), rev, sources);
-            ASSERT_EQ(levels.size(), sources.size());
-            for (std::size_t b = 0; b < sources.size(); ++b) {
-                const auto expect = bfs_levels(rev_csr, sources[b]);
-                EXPECT_EQ(levels[b], expect)
-                    << "cache=" << cache << " threads=" << threads
-                    << " source " << sources[b];
-            }
+    for (const index_t source : sources)
+        EXPECT_EQ(oracle_bfs(rev, source), bfs_levels(rev_csr, source))
+            << "packed oracle, source " << source;
+    for (const unsigned threads : {1u, 2u, 8u, 0u}) {
+        const auto levels =
+            multi_source_bfs(make_accelerator(threads), rev, sources);
+        ASSERT_EQ(levels.size(), sources.size());
+        for (std::size_t b = 0; b < sources.size(); ++b) {
+            const auto expect = bfs_levels(rev_csr, sources[b]);
+            EXPECT_EQ(levels[b], expect)
+                << "threads=" << threads << " source " << sources[b];
         }
     }
 }
@@ -166,7 +224,7 @@ TEST(BatchApps, MultiSourceBfsBatchWidths)
     const CooMatrix g = sparse::make_clustered(512, 4'000, 8, 32, 0.3, 43);
     const CooMatrix rev = g.transposed();
     const sparse::CsrMatrix rev_csr = sparse::to_csr(rev);
-    const core::Accelerator acc = make_accelerator(true, 1);
+    const core::Accelerator acc = make_accelerator(1);
 
     for (const std::size_t width : {std::size_t{1}, std::size_t{3},
                                     std::size_t{8}}) {
@@ -191,14 +249,14 @@ TEST(BatchApps, MultiSourceBfsWeightedEdgesActAsUnit)
     g.add(3, 4, 0.125f);
     g.add(4, 5, 3.0f);
     const CooMatrix rev = g.transposed();
-    const auto levels = multi_source_bfs(make_accelerator(true, 1), rev,
+    const auto levels = multi_source_bfs(make_accelerator(1), rev,
                                          std::vector<index_t>{0});
     EXPECT_EQ(levels[0], (std::vector<int>{0, 1, 2, 1, 2, 3}));
 }
 
 TEST(BatchApps, MultiSourceBfsRejectsBadInput)
 {
-    const core::Accelerator acc = make_accelerator(true, 1);
+    const core::Accelerator acc = make_accelerator(1);
     const CooMatrix g = sparse::make_diagonal(8);
     EXPECT_THROW(multi_source_bfs(acc, g, std::vector<index_t>{}),
                  std::invalid_argument);

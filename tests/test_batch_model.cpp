@@ -269,7 +269,6 @@ TEST(BatchModel, RunBatchLeavesFootprintUnchanged)
     const auto m = sparse::make_uniform_random(1500, 1500, 40'000, 31);
     const core::Accelerator acc(core::SerpensConfig::a16());
     const auto prepared = acc.prepare(m);
-    prepared.warm_decode();
     const std::uint64_t before = prepared.memory_footprint_bytes();
 
     std::vector<std::vector<float>> xs, ys;

@@ -212,6 +212,11 @@ TEST(Chaos, ThousandFaultedRequestsStayBitIdenticalAndLeakNothing)
     {
         net::RetryingClient after("127.0.0.1", daemon.port(),
                                   kClientTimeoutMs, chaos_policy(99));
+        // serve.evict_mid_flight evicts AFTER a request resolved its
+        // matrix, so the storm's last chaos0 request may have left it
+        // evicted with no later request to re-admit it: re-admit first
+        // (idempotent), as the workers do.
+        after.admit(work.names[0], work.matrices[0]);
         const Vectors& v = work.vectors[0][0];
         const net::SpmvReply reply =
             after.spmv(work.names[0], v.x, v.y, kAlpha, kBeta);

@@ -75,9 +75,9 @@ TEST(DecodedSim, DecodeElidesPaddingAndKeepsExtents)
 
     // Padding slots are gone from the SoA arrays but still accounted.
     EXPECT_EQ(d.nnz(), img.stats().nnz);
-    EXPECT_EQ(d.total_slots(), img.stats().total_slots);
-    EXPECT_EQ(d.padding_slots(), img.stats().padding_slots);
-    EXPECT_EQ(d.total_lines(), img.stats().total_lines);
+    EXPECT_EQ(d.stats().total_slots, img.stats().total_slots);
+    EXPECT_EQ(d.stats().padding_slots, img.stats().padding_slots);
+    EXPECT_EQ(d.stats().total_lines, img.stats().total_lines);
 
     std::uint64_t elems = 0;
     for (unsigned ch = 0; ch < d.channels(); ++ch) {
@@ -283,35 +283,30 @@ TEST(DecodedSim, BatchRejectsMalformedInput)
 
 // --- through the Accelerator facade ---
 
-TEST(DecodedSim, AcceleratorCacheOnOffIdentical)
+TEST(DecodedSim, AcceleratorRunMatchesPackedOracle)
 {
     const auto m = sparse::make_uniform_random(3000, 3000, 90'000, 61);
     const Vectors v = random_vectors(m, 8);
 
-    core::SerpensConfig cached_cfg = core::SerpensConfig::a16();
-    cached_cfg.decode_cache = true;
-    core::SerpensConfig packed_cfg = core::SerpensConfig::a16();
-    packed_cfg.decode_cache = false;
+    const core::Accelerator acc(core::SerpensConfig::a16());
+    const auto prepared = acc.prepare(m);
 
-    const core::Accelerator cached_acc(cached_cfg);
-    const core::Accelerator packed_acc(packed_cfg);
-    const auto prepared_cached = cached_acc.prepare(m);
-    const auto prepared_packed = packed_acc.prepare(m);
+    const auto ra = acc.run(prepared, v.x, v.y, 0.5f, 2.0f);
+    const auto rb =
+        sim::simulate_spmv(prepared.image(), v.x, v.y, 0.5f, 2.0f, {});
+    expect_y_equal(ra.y, rb.y, "run vs packed oracle");
+    expect_stats_equal(ra.cycles, rb.cycles, "run vs packed oracle");
 
-    EXPECT_FALSE(prepared_cached.decode_cached());
-    const auto ra = cached_acc.run(prepared_cached, v.x, v.y, 0.5f, 2.0f);
-    EXPECT_TRUE(prepared_cached.decode_cached());
-    const auto rb = packed_acc.run(prepared_packed, v.x, v.y, 0.5f, 2.0f);
-    EXPECT_FALSE(prepared_packed.decode_cached());
-
-    expect_y_equal(ra.y, rb.y, "cache on/off");
-    expect_stats_equal(ra.cycles, rb.cycles, "cache on/off");
-    EXPECT_DOUBLE_EQ(ra.time_ms, rb.time_ms);
-    EXPECT_DOUBLE_EQ(ra.metrics.gflops, rb.metrics.gflops);
-
-    // Second run reuses the cache and stays identical.
-    const auto rc = cached_acc.run(prepared_cached, v.x, v.y, 0.5f, 2.0f);
-    expect_y_equal(rc.y, rb.y, "cached second run");
+    // A second run off the same resident stream stays identical, and so
+    // does a matrix prepared from the rebuilt image.
+    const auto rc = acc.run(prepared, v.x, v.y, 0.5f, 2.0f);
+    expect_y_equal(rc.y, rb.y, "second run");
+    const auto reloaded = core::PreparedMatrix::from_image(prepared.image());
+    const auto rd = acc.run(reloaded, v.x, v.y, 0.5f, 2.0f);
+    expect_y_equal(rd.y, rb.y, "prepared from the rebuilt image");
+    expect_stats_equal(rd.cycles, rb.cycles, "prepared from the rebuilt image");
+    EXPECT_DOUBLE_EQ(rd.time_ms, ra.time_ms);
+    EXPECT_DOUBLE_EQ(rd.metrics.gflops, ra.metrics.gflops);
 }
 
 TEST(DecodedSim, AcceleratorRunBatchMatchesRun)
@@ -339,18 +334,14 @@ TEST(DecodedSim, AcceleratorRunBatchMatchesRun)
     }
 }
 
-TEST(DecodedSim, RunBatchHonorsDecodeCacheKnob)
+TEST(DecodedSim, RunBatchMatchesPackedOracle)
 {
-    // With the cache disabled, run_batch must fall back to per-column
-    // packed reference runs — and still match the batched engine bit for
-    // bit (the differential contract under --batch --no-decode-cache).
+    // Every column of run_batch must equal the packed walk over the
+    // rebuilt padded image bit for bit, and the batched device accounting
+    // must equal the packed image's.
     const auto m = sparse::make_uniform_random(1500, 1500, 40'000, 71);
-    core::SerpensConfig packed_cfg = core::SerpensConfig::a16();
-    packed_cfg.decode_cache = false;
-    const core::Accelerator packed_acc(packed_cfg);
-    const core::Accelerator cached_acc(core::SerpensConfig::a16());
-    const auto prepared_packed = packed_acc.prepare(m);
-    const auto prepared_cached = cached_acc.prepare(m);
+    const core::Accelerator acc(core::SerpensConfig::a16());
+    const auto prepared = acc.prepare(m);
 
     std::vector<std::vector<float>> xs, ys;
     for (std::size_t b = 0; b < 3; ++b) {
@@ -358,29 +349,38 @@ TEST(DecodedSim, RunBatchHonorsDecodeCacheKnob)
         xs.push_back(v.x);
         ys.push_back(v.y);
     }
-    const auto packed = packed_acc.run_batch(prepared_packed, xs, ys, 2.0f, -1.0f);
-    EXPECT_FALSE(prepared_packed.decode_cached());
-    const auto cached = cached_acc.run_batch(prepared_cached, xs, ys, 2.0f, -1.0f);
-    ASSERT_EQ(packed.size(), cached.size());
-    for (std::size_t b = 0; b < packed.size(); ++b) {
+    const auto batch = acc.run_batch(prepared, xs, ys, 2.0f, -1.0f);
+    const encode::SerpensImage img = prepared.image();
+    ASSERT_EQ(batch.size(), xs.size());
+    for (std::size_t b = 0; b < batch.size(); ++b) {
         const std::string label = "column " + std::to_string(b);
-        expect_y_equal(packed[b].y, cached[b].y, label);
-        expect_stats_equal(packed[b].cycles, cached[b].cycles, label);
+        const auto packed =
+            sim::simulate_spmv(img, xs[b], ys[b], 2.0f, -1.0f, {});
+        expect_y_equal(batch[b].y, packed.y, label);
+        expect_stats_equal(batch[b].cycles, packed.cycles, label);
     }
+    const auto packed_batch = sim::batch_cycle_stats(img, xs.size(), {});
+    EXPECT_EQ(batch.batch_cycles.passes, packed_batch.passes);
+    EXPECT_EQ(batch.batch_cycles.total_cycles(), packed_batch.total_cycles());
+    EXPECT_EQ(batch.batch_cycles.traffic.total(),
+              packed_batch.traffic.total());
 }
 
 TEST(DecodedSim, RunProgramUsesDecodedEngine)
 {
-    // The instruction path funnels into run(); it must hit the cache too.
+    // The instruction path compiles and validates against the rebuilt
+    // padded image, then funnels into run() over the decoded stream.
     const auto m = sparse::make_banded(1024, 7, 73);
     const core::Accelerator acc(core::SerpensConfig::a16());
     const auto prepared = acc.prepare(m);
     const Vectors v = random_vectors(m, 77);
     const auto program = acc.compile_program(prepared, 1.5f, 0.5f);
     const auto r = acc.run_program(prepared, program, v.x, v.y);
-    EXPECT_TRUE(prepared.decode_cached());
     const auto expect = acc.run(prepared, v.x, v.y, 1.5f, 0.5f);
     expect_y_equal(r.y, expect.y, "program path");
+    const auto packed =
+        sim::simulate_spmv(prepared.image(), v.x, v.y, 1.5f, 0.5f, {});
+    expect_y_equal(r.y, packed.y, "program path vs packed oracle");
 }
 
 } // namespace

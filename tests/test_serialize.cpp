@@ -8,6 +8,7 @@
 #include "encode/decode.h"
 #include "encode/serialize.h"
 #include "sparse/generators.h"
+#include "util/bitpack.h"
 
 namespace serpens::encode {
 namespace {
@@ -90,12 +91,11 @@ TEST(Serialize, FileRoundTripAndRun)
     EXPECT_EQ(from_file.cycles.total_cycles(), direct.cycles.total_cycles());
 }
 
-TEST(Serialize, LoadedImagePopulatesDecodeCacheLikeEncodePath)
+TEST(Serialize, LoadedImageReachesTheEncodePathsResidentState)
 {
     // Regression for the --load-image path: a loaded image must reach the
-    // same warmed decode-cache state the encode path reaches — warm_decode
-    // populates it up front (the CLI and the serving registry's admission
-    // both call it), and the first run off either path uses the cache.
+    // same resident state the encode path reaches — decoded once at load,
+    // the same footprint charged to the registry budget, the same results.
     const std::string path = ::testing::TempDir() + "/serpens_warm_test.img";
     const auto m = sparse::make_uniform_random(220, 220, 2400, 7);
 
@@ -105,24 +105,23 @@ TEST(Serialize, LoadedImagePopulatesDecodeCacheLikeEncodePath)
 
     const auto encoded = acc.prepare(m);
     save_image_file(path, encoded.image());
-
     const auto loaded = core::PreparedMatrix::from_image(load_image_file(path));
-    EXPECT_FALSE(loaded.decode_cached());
-    loaded.warm_decode();
-    EXPECT_TRUE(loaded.decode_cached());
-
-    // Warm state equals the encode path's post-first-run state, including
-    // the footprint accounting both paths feed into the registry budget.
-    std::vector<float> x(220, 0.5f), y(220, 1.0f);
-    const auto direct = acc.run(encoded, x, y, 1.5f, -0.5f);
-    EXPECT_TRUE(encoded.decode_cached());
     EXPECT_EQ(loaded.memory_footprint_bytes(),
               encoded.memory_footprint_bytes());
 
+    std::vector<float> x(220, 0.5f), y(220, 1.0f);
+    const auto direct = acc.run(encoded, x, y, 1.5f, -0.5f);
     const auto from_loaded = acc.run(loaded, x, y, 1.5f, -0.5f);
     EXPECT_EQ(from_loaded.y, direct.y);
     EXPECT_EQ(from_loaded.cycles.total_cycles(),
               direct.cycles.total_cycles());
+
+    // Both equal the packed walk over the file's own image.
+    const auto packed =
+        sim::simulate_spmv(load_image_file(path), x, y, 1.5f, -0.5f);
+    EXPECT_EQ(from_loaded.y, packed.y);
+    EXPECT_EQ(from_loaded.cycles.total_cycles(),
+              packed.cycles.total_cycles());
 }
 
 TEST(Serialize, RejectsBadMagic)
@@ -260,6 +259,65 @@ TEST(Serialize, ChecksumMismatchNamesTheSection)
         EXPECT_NE(std::string(e.what()).find("checksum"), std::string::npos)
             << e.what();
     }
+}
+
+// Corrupt one lane of `img` in place: the first padding slot found gets a
+// non-zero value word (kind == padding), or the first valid element gets
+// its reserved index bit set (kind == reserved).
+enum class Corruption { padding, reserved };
+void corrupt_one_lane(SerpensImage& img, Corruption kind)
+{
+    for (unsigned c = 0; c < img.channels(); ++c) {
+        hbm::ChannelStream& stream = img.mutable_channel(c);
+        for (std::size_t i = 0; i < stream.size(); ++i) {
+            hbm::Line512 line = stream.line(i);
+            for (unsigned lane = 0; lane < hbm::kElemsPerLine; ++lane) {
+                const std::uint64_t bits = line.lane64(lane);
+                const bool valid = EncodedElement::from_bits(bits).valid();
+                if (kind == Corruption::padding && !valid) {
+                    line.set_lane64(lane, float_bits(1.0f));
+                } else if (kind == Corruption::reserved && valid) {
+                    line.set_lane64(lane,
+                                    bits | (std::uint64_t{1}
+                                            << (32 + kReservedBit)));
+                } else {
+                    continue;
+                }
+                // ChannelStream is append-only; rebuild it with the edit.
+                hbm::ChannelStream edited(stream.name());
+                for (std::size_t j = 0; j < stream.size(); ++j)
+                    edited.push(j == i ? line : stream.line(j));
+                stream = std::move(edited);
+                return;
+            }
+        }
+    }
+    FAIL() << "image has no lane to corrupt";
+}
+
+void expect_decode_rejects(Corruption kind)
+{
+    for (const std::uint32_t version : {1u, 2u}) {
+        SerpensImage img = small_image();
+        ASSERT_GT(img.stats().padding_slots, 0u);
+        corrupt_one_lane(img, kind);
+        // The v2 writer recomputes every section CRC over the corrupted
+        // lines, so the file loads and the decode check is what fires.
+        std::stringstream in(serialized_bytes(img, version));
+        const SerpensImage loaded = load_image(in);
+        EXPECT_THROW(core::PreparedMatrix::from_image(loaded), CheckError)
+            << "version " << version;
+    }
+}
+
+TEST(Serialize, DecodeRejectsPaddingSlotWithNonZeroBits)
+{
+    expect_decode_rejects(Corruption::padding);
+}
+
+TEST(Serialize, DecodeRejectsReservedIndexBit)
+{
+    expect_decode_rejects(Corruption::reserved);
 }
 
 TEST(Serialize, EmptyMatrixImageRoundTrips)

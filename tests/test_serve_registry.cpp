@@ -27,35 +27,32 @@ sparse::CooMatrix small_matrix(std::uint64_t seed)
     return sparse::make_uniform_random(1024, 1024, 20'000, seed);
 }
 
-// Footprint of `m` admitted under this config (encode + warm decode).
+// Footprint of `m` admitted under this config (encode + decode).
 std::uint64_t footprint_of(const sparse::CooMatrix& m)
 {
     const core::Accelerator acc(core::SerpensConfig::a16());
-    const core::PreparedMatrix prepared = acc.prepare(m);
-    prepared.warm_decode();
-    return prepared.memory_footprint_bytes();
+    return acc.prepare(m).memory_footprint_bytes();
 }
 
-TEST(ServeRegistry, FootprintCountsImageAndDecodeCache)
+TEST(ServeRegistry, FootprintIsTheDecodedStreamAlone)
 {
     const core::Accelerator acc(core::SerpensConfig::a16());
     const auto prepared = acc.prepare(small_matrix(1));
 
-    const std::uint64_t image_only = prepared.memory_footprint_bytes();
-    EXPECT_EQ(image_only, prepared.image().memory_bytes());
-    EXPECT_GT(image_only, 0u);
-    // The packed lines alone already bound it from below.
+    // Only the decoded stream is resident: the padded lines are dropped
+    // after decode and rebuilt on demand, so they are not charged.
+    const std::uint64_t footprint = prepared.memory_footprint_bytes();
+    EXPECT_EQ(footprint, prepared.decoded().memory_bytes());
+    // The SoA arrays alone (12 B per element) bound it from below.
+    EXPECT_GE(footprint, prepared.nnz() * 12);
+    // The padded lines can be priced without a rebuild (the CLI's memory
+    // line does): total_lines x 64 B is exactly what image() rebuilds.
+    const encode::SerpensImage img = prepared.image();
     std::uint64_t line_bytes = 0;
-    for (unsigned c = 0; c < prepared.image().channels(); ++c)
-        line_bytes += prepared.image().channel(c).bytes();
-    EXPECT_GE(image_only, line_bytes);
-
-    prepared.warm_decode();
-    const std::uint64_t with_decode = prepared.memory_footprint_bytes();
-    EXPECT_EQ(with_decode,
-              prepared.image().memory_bytes() +
-                  prepared.decoded().memory_bytes());
-    EXPECT_GT(with_decode, image_only);
+    for (unsigned c = 0; c < img.channels(); ++c)
+        line_bytes += img.channel(c).bytes();
+    EXPECT_EQ(line_bytes,
+              prepared.encode_stats().total_lines * hbm::kLineBytes);
 }
 
 TEST(ServeRegistry, AdmissionWarmsDecodeAndAccounts)
@@ -63,8 +60,10 @@ TEST(ServeRegistry, AdmissionWarmsDecodeAndAccounts)
     serve::MatrixRegistry reg(config_with_budget(0));
     const auto resident = reg.admit("a", small_matrix(2));
     ASSERT_NE(resident, nullptr);
-    // Admission pays the decode up front: hits never build the expansion.
-    EXPECT_TRUE(resident->decode_cached());
+    // Admission pays the decode up front: the resident's footprint is the
+    // decoded stream, and hits never build anything.
+    EXPECT_EQ(resident->memory_footprint_bytes(),
+              resident->decoded().memory_bytes());
     EXPECT_EQ(reg.size(), 1u);
     EXPECT_EQ(reg.bytes_resident(), resident->memory_footprint_bytes());
 
@@ -208,7 +207,6 @@ TEST(ServeRegistry, AdmitImageMatchesCooAdmission)
     std::stringstream buffer;
     encode::save_image(buffer, from_coo->image());
     const auto from_img = reg.admit_image("img", encode::load_image(buffer));
-    EXPECT_TRUE(from_img->decode_cached());
     EXPECT_EQ(from_img->memory_footprint_bytes(),
               from_coo->memory_footprint_bytes());
 

@@ -282,7 +282,6 @@ TEST(ServeServer, EvictionMidFlightKeepsPinnedRequestsCorrect)
     {
         const core::Accelerator probe(cfg);
         const auto p = probe.prepare(a);
-        p.warm_decode();
         cfg.resident_budget_bytes = p.memory_footprint_bytes() +
                                     p.memory_footprint_bytes() / 2;
     }
@@ -329,7 +328,6 @@ TEST(ServeServer, EvictionMidFlightKeepsPinnedBatchOfEightCorrect)
     {
         const core::Accelerator probe(cfg);
         const auto p = probe.prepare(a);
-        p.warm_decode();
         cfg.resident_budget_bytes = p.memory_footprint_bytes() +
                                     p.memory_footprint_bytes() / 2;
     }

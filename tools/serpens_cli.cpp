@@ -48,7 +48,6 @@ struct CliArgs {
     int iters = 1;
     unsigned batch = 0;  // 0 = unset: run treats it as 1, serve-bench
                          // keeps the config default max_batch
-    bool decode_cache = true;
     unsigned threads = 1;
     unsigned parse_threads = 0;  // fast parser: one worker per core
     unsigned sim_threads = 1;
@@ -63,7 +62,6 @@ core::SerpensConfig make_config(const CliArgs& args)
                         : core::SerpensConfig::a16();
     cfg.encode_threads = args.threads;
     cfg.sim_threads = args.sim_threads;
-    cfg.decode_cache = args.decode_cache;
     cfg.serve_threads = args.serve_threads;
     if (args.batch != 0)
         cfg.max_batch = args.batch;  // --batch 1 disables coalescing
@@ -112,8 +110,6 @@ CliArgs parse(int argc, char** argv)
             args.iters = std::stoi(next());
         else if (flag == "--batch")
             args.batch = static_cast<unsigned>(std::stoul(next()));
-        else if (flag == "--no-decode-cache")
-            args.decode_cache = false;
         else if (flag == "--threads")
             args.threads = static_cast<unsigned>(std::stoul(next()));
         else if (flag == "--parse-threads")
@@ -217,16 +213,13 @@ int cmd_run(const CliArgs& args)
     bool have_matrix = false;
 
     if (!args.img_path.empty()) {
-        auto img = encode::load_image_file(args.img_path);
+        const auto img = encode::load_image_file(args.img_path);
         SERPENS_CHECK(img.params().ha_channels == cfg.arch.ha_channels,
                       "image was encoded for a different channel count");
+        // Decoded once here, like the encode path and the serving
+        // registry's admission, so the timed runs below pay no setup.
         prepared = std::make_unique<core::PreparedMatrix>(
-            core::PreparedMatrix::from_image(std::move(img)));
-        // Populate the decode cache at load, like the encode path's first
-        // run (and the serving registry's admission) — repeat runs off a
-        // loaded image start from the same warmed state.
-        if (cfg.decode_cache)
-            prepared->warm_decode(cfg.sim_threads);
+            core::PreparedMatrix::from_image(img, cfg.sim_threads));
     } else {
         sparse::CooMatrix m =
             !args.mtx_path.empty()
@@ -284,12 +277,13 @@ int cmd_run(const CliArgs& args)
     std::printf("matrix:  %u x %u, %llu nnz (padding %.4f)\n", rows, cols,
                 static_cast<unsigned long long>(prepared->nnz()),
                 prepared->encode_stats().padding_ratio());
-    std::printf("memory:  %.2f MiB resident (packed image %.2f MiB%s)\n",
+    std::printf("memory:  %.2f MiB resident (decoded stream; padded HBM "
+                "image %.2f MiB, rebuilt on demand)\n",
                 static_cast<double>(prepared->memory_footprint_bytes()) /
                     (1 << 20),
-                static_cast<double>(prepared->image().memory_bytes()) /
-                    (1 << 20),
-                prepared->decode_cached() ? " + decode cache" : "");
+                static_cast<double>(prepared->encode_stats().total_lines *
+                                    hbm::kLineBytes) /
+                    (1 << 20));
     std::printf("cycles:  %llu total = %llu compute + %llu x-load + "
                 "%llu y-phase + %llu fill\n",
                 static_cast<unsigned long long>(result.cycles.total_cycles()),
@@ -308,13 +302,11 @@ int cmd_run(const CliArgs& args)
                     batch_cycles.passes == 1 ? "" : "es",
                     device_amortized_ms);
     }
-    std::printf("host:    %.3f ms/SpMV (%u vector%s x %d iteration%s, "
-                "decode cache %s)\n",
+    std::printf("host:    %.3f ms/SpMV (%u vector%s x %d iteration%s)\n",
                 host_ms / (static_cast<double>(batch) *
                            std::max(1, args.iters)),
                 batch, batch == 1 ? "" : "s", std::max(1, args.iters),
-                args.iters == 1 ? "" : "s",
-                args.decode_cache ? "on" : "off");
+                args.iters == 1 ? "" : "s");
     std::printf("metrics: %.2f GFLOP/s, %.0f MTEPS, %.1f MTEPS/(GB/s), "
                 "%.0f MTEPS/W\n",
                 result.metrics.gflops, result.metrics.mteps,
@@ -501,9 +493,6 @@ int cmd_help(std::FILE* out)
         "                   decoded pass per iteration (Sextans-style SpMM\n"
         "                   amortization; per-vector results are bit-\n"
         "                   identical to B separate runs)\n"
-        "  --no-decode-cache  re-unpack the packed HBM image on every run\n"
-        "                   (the differential reference engine) instead of\n"
-        "                   running off the cached decode-once expansion\n"
         "  --threads N      worker threads for the encode stage (encode/run;\n"
         "                   default 1, 0 = one per hardware thread; the\n"
         "                   produced image is identical for every N)\n"

@@ -6,7 +6,9 @@
 // CycleStats term must be bit-identical across all of them. Prints per-
 // engine timings so CI logs double as a coarse perf trend (the decoded
 // engine's per-iteration advantage over the packed walk is the number the
-// decode-once PR exists for).
+// decode-once PR exists for). The padded image rebuilt from the decoded
+// stream (DecodedImage::to_image, what a prepared matrix hands the WAL and
+// --save-image) must also serialize byte-identically to the encoded one.
 //
 //   sim_smoke [--entries N] [--batch B] [--iters K]
 //
@@ -15,9 +17,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <vector>
 
 #include "encode/image.h"
+#include "encode/serialize.h"
 #include "sim/simulator.h"
 #include "sparse/generators.h"
 #include "util/bitpack.h"
@@ -126,6 +130,18 @@ int main(int argc, char** argv)
 
         bool ok = identical(dec, packed[0], "decoded engine");
 
+        t0 = Clock::now();
+        std::ostringstream rebuilt, encoded;
+        encode::save_image(rebuilt, decoded.to_image());
+        std::printf("rebuild: %.4f s once (padded image, serialized)\n",
+                    seconds_since(t0));
+        encode::save_image(encoded, img);
+        if (rebuilt.str() != encoded.str()) {
+            std::fprintf(stderr, "FAIL: rebuilt image differs from the "
+                                 "encoded one\n");
+            ok = false;
+        }
+
         // Threaded decoded run and per-column batch, all against packed.
         sim::SimOptions threaded = options;
         threaded.threads = 0;
@@ -149,7 +165,8 @@ int main(int argc, char** argv)
         if (!ok)
             return 1;
         std::printf("OK: y + CycleStats bit-identical across packed, "
-                    "decoded, and batched engines (B=%u)\n",
+                    "decoded, and batched engines (B=%u); rebuilt image "
+                    "byte-identical\n",
                     batch);
         return 0;
     } catch (const std::exception& e) {
