@@ -12,6 +12,15 @@ cmake -B "${BUILD_DIR}" -S . -DSERPENS_WERROR=ON
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
+# The seeded benchmark (perfbench/) is its own CMake project over the same
+# src/, which the build above never configures: build it into its own
+# directory so a library API change cannot break it unseen, and
+# schema-check the committed trajectory rows against BENCHMARK.json. No
+# timed run.
+cmake -S perfbench -B "${BUILD_DIR}-perfbench" -DCMAKE_BUILD_TYPE=Release
+cmake --build "${BUILD_DIR}-perfbench" -j "${JOBS}"
+python3 perfbench/run.py --validate perfbench/trajectory.jsonl
+
 # Release-mode ingestion smoke: generate a ~1M-entry .mtx, parse it with
 # both the istream reference and the mmap+parallel fast parser, and require
 # bit-identical triplets. The default configure above is already Release

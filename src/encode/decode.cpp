@@ -68,6 +68,9 @@ void verify_image(const SerpensImage& img)
                                    "URAM address out of range");
                     SERPENS_ASSERT(e.col_off() < p.window,
                                    "column offset outside the segment window");
+                    SERPENS_ASSERT(std::uint64_t{seg} * p.window + e.col_off() <
+                                       img.cols(),
+                                   "column beyond the matrix's column range");
                     auto [it, fresh] = last_use.try_emplace(e.pair_addr(), i);
                     if (!fresh) {
                         SERPENS_ASSERT(i - it->second >= window,

@@ -16,7 +16,8 @@ std::vector<sparse::Triplet> decode_image(const SerpensImage& img);
 
 // Verify that, for every (channel, segment, lane), equal URAM addresses are
 // at least `params.dsp_latency` line slots apart, and that every element's
-// fields are within architectural bounds. Throws CheckError on violation.
+// fields are within architectural bounds and its column within the
+// matrix's. Throws CheckError on violation.
 void verify_image(const SerpensImage& img);
 
 } // namespace serpens::encode

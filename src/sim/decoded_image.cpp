@@ -9,6 +9,34 @@ namespace serpens::sim {
 
 using encode::EncodedElement;
 
+namespace {
+
+// Sets simd_ok's bit for every whole group whose accumulator offsets are
+// pairwise distinct. `slots` bounds acc_off (the channel's bank slice).
+// Each offset's last writer is stamped with its group's tag, so a repeat
+// within a group is one load; a wrapped tag can only flag a false repeat,
+// which leaves the group on the scalar path.
+void mark_conflict_free_groups(DecodedImage::Channel& c, std::size_t slots)
+{
+    constexpr std::size_t kG = DecodedImage::kSimdGroup;
+    const std::size_t groups = c.acc_off.size() / kG;
+    c.simd_ok.assign((groups + 63) / 64, 0);
+    std::vector<std::uint32_t> stamp(slots, 0);
+    for (std::size_t g = 0; g < groups; ++g) {
+        const std::uint32_t* const o = c.acc_off.data() + g * kG;
+        const auto tag = static_cast<std::uint32_t>(g + 1);
+        bool repeat = false;
+        for (std::size_t i = 0; i < kG; ++i) {
+            repeat |= stamp[o[i]] == tag;
+            stamp[o[i]] = tag;
+        }
+        if (!repeat)
+            c.simd_ok[g / 64] |= std::uint64_t{1} << (g % 64);
+    }
+}
+
+} // namespace
+
 DecodedImage DecodedImage::decode(const encode::SerpensImage& img,
                                   const DecodeOptions& options)
 {
@@ -69,6 +97,9 @@ DecodedImage DecodedImage::decode(const encode::SerpensImage& img,
                     SERPENS_ASSERT(e.pair_addr() < ua,
                                    "element addresses a URAM word beyond the "
                                    "image's row range");
+                    SERPENS_ASSERT(std::uint64_t{seg_base} + e.col_off() < d.cols_,
+                                   "element addresses a column beyond the "
+                                   "image's column range");
                     mask = static_cast<std::uint8_t>(mask | (1u << lane));
                     c.acc_off.push_back(
                         ((e.pair_addr() * lanes + lane) << 1) |
@@ -81,6 +112,7 @@ DecodedImage DecodedImage::decode(const encode::SerpensImage& img,
             cursor += lines;
         }
         c.seg_begin.push_back(c.value.size());
+        mark_conflict_free_groups(c, std::size_t{lanes} * 2 * ua);
         c.acc_off.shrink_to_fit();
         c.col.shrink_to_fit();
         c.value.shrink_to_fit();
@@ -145,6 +177,7 @@ std::uint64_t DecodedImage::memory_bytes() const
         bytes += c.seg_begin.size() * sizeof(std::size_t);
         bytes += c.seg_lines.size() * sizeof(std::uint32_t);
         bytes += c.lane_mask.size() * sizeof(std::uint8_t);
+        bytes += c.simd_ok.size() * sizeof(std::uint64_t);
     }
     bytes += seg_depth_.size() * sizeof(std::uint32_t);
     // The decoded walk's accumulator bank: 2 half-words per URAM address,

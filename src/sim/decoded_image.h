@@ -17,6 +17,11 @@
 //   value[i]    the FP32 value
 //   lane_mask[l] one byte per packed line: bit k set iff lane k of line l
 //               holds a valid element
+//   simd_ok[w]  one bit per aligned group of kSimdGroup elements: bit g
+//               (word g / 64, bit g % 64) is set iff the group's acc_off
+//               are pairwise distinct, so the B=1 walk may gather, add
+//               and scatter the group at once (sim/walk.h). Derived
+//               state: to_image() ignores it.
 //
 // Padding slots are elided entirely — they contribute no FP op, so skipping
 // them preserves the exact per-accumulator addition order of the packed
@@ -56,6 +61,10 @@ struct DecodeOptions {
 
 class DecodedImage {
 public:
+    // Elements per conflict-free group of Channel::simd_ok: one 256-bit
+    // vector of FP32 values.
+    static constexpr std::size_t kSimdGroup = 8;
+
     struct Channel {
         // SoA views of the valid (non-padding) elements in packed walk
         // order: segment-major, then line, then lane.
@@ -70,13 +79,18 @@ public:
         // Valid-lane bitmask of each packed line, in stream order; its
         // size is the channel's line count.
         std::vector<std::uint8_t> lane_mask;
+        // Bit g set iff elements [g * kSimdGroup, (g + 1) * kSimdGroup)
+        // address pairwise-distinct accumulators; only whole groups have
+        // a bit.
+        std::vector<std::uint64_t> simd_ok;
     };
 
     // Expand a packed image. Throws CheckError if an element addresses a
     // URAM word beyond the image's row range (the packed engine would
-    // silently accumulate into a dead slot), if a padding slot carries any
-    // non-zero bit, or if a valid element sets the reserved index bit —
-    // the last two would make to_image() inexact.
+    // silently accumulate into a dead slot) or a column at or beyond
+    // cols() (the decoded walk would read past x), if a padding slot
+    // carries any non-zero bit, or if a valid element sets the reserved
+    // index bit — the last two would make to_image() inexact.
     static DecodedImage decode(const encode::SerpensImage& img,
                                const DecodeOptions& options = {});
 
@@ -105,8 +119,9 @@ public:
     std::uint64_t nnz() const { return stats_.nnz; }
 
     // Resident bytes of the expansion: the per-channel SoA arrays, segment
-    // tables and lane masks, plus the single-vector accumulator bank the
-    // decoded walk allocates (channels * lanes * used_addrs * 2 floats).
+    // tables, lane masks and simd_ok bitsets, plus the single-vector
+    // accumulator bank the decoded walk allocates
+    // (channels * lanes * used_addrs * 2 floats).
     // This is a prepared matrix's full working set — what the serving
     // registry charges against its byte budget.
     std::uint64_t memory_bytes() const;

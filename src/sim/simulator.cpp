@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "encode/decode.h"
 #include "util/bitpack.h"
@@ -281,7 +282,6 @@ void walk_channel_batch_n(const DecodedImage::Channel& c, float* bank,
                           const float* xi, std::size_t batch)
 {
     switch (batch) {
-    case 1: return walk_channel_batch<1>(c, bank, xi);
     case 2: return walk_channel_batch<2>(c, bank, xi);
     case 3: return walk_channel_batch<3>(c, bank, xi);
     case 4: return walk_channel_batch<4>(c, bank, xi);
@@ -305,6 +305,61 @@ void walk_channel_batch_n(const DecodedImage::Channel& c, float* bank,
     }
 }
 
+// Floats of one channel's slice of the decoded accumulator bank at B=1:
+// lanes * used_addrs words of two halves.
+std::size_t bank_slice(const DecodedImage& img)
+{
+    return static_cast<std::size_t>(img.params().pes_per_channel) * 2 *
+           img.used_addrs();
+}
+
+// Row blocks of the decoded engines' address-major bank, in ascending row
+// order. Channel ch's slice holds 2L floats per URAM address a (L lanes,
+// P = channels * L PEs), and the rows mapped to them form one run:
+//
+//   coalescing   rows [a*2P + ch*2L, +2L)  at floats a*2L + j      (stride 1)
+//   without      rows [a*P + ch*L, +L)     at floats a*2L + 2*j    (stride 2)
+//
+// so walking addresses, then channels, visits every row once, in order,
+// with no per-row division by P; the last block may be partial.
+// block(row, slot, n, stride) covers rows [row, row + n) at B=1 bank
+// slots slot + j * stride (a B-wide bank scales the slot by B).
+template <typename Block>
+void for_each_row_block(const DecodedImage& img, Block&& block)
+{
+    const index_t lanes = img.params().pes_per_channel;
+    const bool coalesced = img.params().coalescing;
+    const index_t per_block = coalesced ? 2 * lanes : lanes;
+    const std::size_t stride = coalesced ? 1 : 2;
+    const std::size_t slice = bank_slice(img);
+    index_t row = 0;
+    for (std::size_t a = 0; row < img.rows(); ++a) {
+        for (unsigned ch = 0; ch < img.channels() && row < img.rows(); ++ch) {
+            const index_t n = std::min(per_block, img.rows() - row);
+            block(row, ch * slice + a * 2 * lanes, n, stride);
+            row += n;
+        }
+    }
+}
+
+// The single-vector walk of both decoded engines: a zeroed B=1 bank with
+// every channel accumulated by `kernel`. Channels own disjoint slices, so
+// the result is the same for every thread count.
+std::vector<float> walk_single(const DecodedImage& img, const float* x,
+                               WalkKernel kernel, unsigned threads)
+{
+    // The SIMD kernel gathers x through signed 32-bit indices.
+    if (img.cols() > static_cast<index_t>(INT32_MAX))
+        kernel = WalkKernel::scalar;
+    const std::size_t slice = bank_slice(img);
+    std::vector<float> acc(img.channels() * slice, 0.0f);
+    util::shared_parallel_for(threads, img.channels(), [&](std::size_t ch) {
+        walk_channel(kernel, img.channel(static_cast<unsigned>(ch)),
+                     acc.data() + ch * slice, x);
+    });
+    return acc;
+}
+
 } // namespace
 
 SimResult simulate_spmv_decoded(const DecodedImage& img,
@@ -312,51 +367,32 @@ SimResult simulate_spmv_decoded(const DecodedImage& img,
                                 std::span<const float> y_in, float alpha,
                                 float beta, const SimOptions& options)
 {
+    return simulate_spmv_decoded(img, x, y_in, alpha, beta, options,
+                                 host_walk_kernel());
+}
+
+SimResult simulate_spmv_decoded(const DecodedImage& img,
+                                std::span<const float> x,
+                                std::span<const float> y_in, float alpha,
+                                float beta, const SimOptions& options,
+                                WalkKernel kernel)
+{
     SERPENS_CHECK(x.size() == img.cols(), "x length must equal matrix cols");
     SERPENS_CHECK(y_in.size() == img.rows(), "y length must equal matrix rows");
 
-    const unsigned lanes = img.params().pes_per_channel;
-    const std::uint32_t ua = img.used_addrs();
-    std::vector<float> acc(
-        static_cast<std::size_t>(img.channels()) * lanes * ua * 2, 0.0f);
-
-    CycleStats stats = decoded_phase_stats(img, options);
-
-    // The hot loop: one fused multiply-add per decoded element. Elements
-    // are stored in the packed walk order and channels own disjoint
-    // accumulator banks, so the FP32 accumulation order per URAM slot is
-    // exactly the packed engine's, for every thread count.
-    const float* const xp = x.data();
-    util::shared_parallel_for(options.threads, img.channels(), [&](std::size_t ch) {
-        const DecodedImage::Channel& c =
-            img.channel(static_cast<unsigned>(ch));
-        float* const bank = acc.data() + ch * lanes * ua * 2;
-        const std::uint32_t* const off = c.acc_off.data();
-        const std::uint32_t* const col = c.col.data();
-        const float* const val = c.value.data();
-        const std::size_t n = c.value.size();
-        for (std::size_t i = 0; i < n; ++i)
-            bank[off[i]] += val[i] * xp[col[i]];
-    });
+    const std::vector<float> acc =
+        walk_single(img, x.data(), kernel, options.threads);
 
     SimResult result;
     result.y.resize(img.rows());
-    const encode::RowMapping mapping(img.params());
-    for (index_t r = 0; r < img.rows(); ++r) {
-        const encode::PeLocation loc = mapping.locate(r);
-        // Address-major bank layout (see DecodedImage): channel slice,
-        // then (addr * lanes + lane) word — sequential in r.
-        const std::size_t ch = loc.pe / lanes;
-        const std::size_t lane = loc.pe % lanes;
-        const float a =
-            acc[ch * lanes * ua * 2 +
-                (static_cast<std::size_t>(loc.addr) * lanes + lane) * 2 +
-                (loc.half ? 1 : 0)];
-        result.y[r] = alpha * a + beta * y_in[r];
-    }
-    apply_y_phase(stats, img.rows(), options);
-
-    result.cycles = stats;
+    for_each_row_block(img, [&](index_t row, std::size_t slot, index_t n,
+                                std::size_t stride) {
+        for (index_t j = 0; j < n; ++j)
+            result.y[row + j] =
+                alpha * acc[slot + j * stride] + beta * y_in[row + j];
+    });
+    result.cycles = decoded_phase_stats(img, options);
+    apply_y_phase(result.cycles, img.rows(), options);
     return result;
 }
 
@@ -375,55 +411,50 @@ SimBatchResult simulate_spmv_batch(const DecodedImage& img,
         SERPENS_CHECK(y.size() == img.rows(), "y length must equal matrix rows");
 
     const std::size_t batch = xs.size();
-    const unsigned lanes = img.params().pes_per_channel;
-    const std::uint32_t ua = img.used_addrs();
+    std::vector<float> acc;
+    if (batch == 1) {
+        // The B=1 blocked layout is the single-vector bank, and xs[0] is
+        // already the column-interleaved right-hand side.
+        acc = walk_single(img, xs[0].data(), host_walk_kernel(),
+                          options.threads);
+    } else {
+        // Column-interleaved right-hand sides: xi[col * B + b], so the B
+        // multiplies of one decoded element read consecutive floats.
+        // Repacking costs O(B * cols) once; the walk it feeds is
+        // O(nnz * B).
+        std::vector<float> xi(static_cast<std::size_t>(img.cols()) * batch);
+        for (index_t c = 0; c < img.cols(); ++c)
+            for (std::size_t b = 0; b < batch; ++b)
+                xi[static_cast<std::size_t>(c) * batch + b] = xs[b][c];
 
-    // Column-interleaved right-hand sides: xi[col * B + b], so the B
-    // multiplies of one decoded element read consecutive floats. Repacking
-    // costs O(B * cols) once; the walk it feeds is O(nnz * B).
-    std::vector<float> xi(static_cast<std::size_t>(img.cols()) * batch);
-    for (index_t c = 0; c < img.cols(); ++c)
-        for (std::size_t b = 0; b < batch; ++b)
-            xi[static_cast<std::size_t>(c) * batch + b] = xs[b][c];
-
-    // Blocked accumulator: B consecutive floats per URAM half-word. Each
-    // column's accumulator sequence is independent, so per-column results
-    // are bit-identical to a single-vector run for every batch width.
-    std::vector<float> acc(static_cast<std::size_t>(img.channels()) * lanes *
-                               ua * 2 * batch,
-                           0.0f);
-
-    CycleStats stats = decoded_phase_stats(img, options);
-
-    util::shared_parallel_for(options.threads, img.channels(), [&](std::size_t ch) {
-        walk_channel_batch_n(img.channel(static_cast<unsigned>(ch)),
-                             acc.data() + ch * lanes * ua * 2 * batch,
-                             xi.data(), batch);
-    });
+        // Blocked accumulator: B consecutive floats per URAM half-word.
+        // Each column's accumulator sequence is independent, so
+        // per-column results are bit-identical to a single-vector run for
+        // every batch width.
+        const std::size_t slice = bank_slice(img) * batch;
+        acc.assign(img.channels() * slice, 0.0f);
+        util::shared_parallel_for(options.threads, img.channels(), [&](std::size_t ch) {
+            walk_channel_batch_n(img.channel(static_cast<unsigned>(ch)),
+                                 acc.data() + ch * slice, xi.data(), batch);
+        });
+    }
 
     SimBatchResult result;
     result.y.resize(batch);
     for (std::vector<float>& y : result.y)
         y.resize(img.rows());
-    const encode::RowMapping mapping(img.params());
-    for (index_t r = 0; r < img.rows(); ++r) {
-        const encode::PeLocation loc = mapping.locate(r);
-        // Address-major bank layout: consecutive rows read consecutive
-        // B-wide blocks, so this loop streams the blocked bank instead of
-        // hopping used_addrs * B floats per row.
-        const std::size_t ch = loc.pe / lanes;
-        const std::size_t lane = loc.pe % lanes;
-        const std::size_t base =
-            (ch * lanes * ua * 2 +
-             (static_cast<std::size_t>(loc.addr) * lanes + lane) * 2 +
-             (loc.half ? 1 : 0)) *
-            batch;
-        for (std::size_t b = 0; b < batch; ++b)
-            result.y[b][r] = alpha * acc[base + b] + beta * ys_in[b][r];
-    }
-    apply_y_phase(stats, img.rows(), options);
-
-    result.cycles = stats;
+    for_each_row_block(img, [&](index_t row, std::size_t slot, index_t n,
+                                std::size_t stride) {
+        for (std::size_t b = 0; b < batch; ++b) {
+            float* const y = result.y[b].data() + row;
+            const float* const yi = ys_in[b].data() + row;
+            for (index_t j = 0; j < n; ++j)
+                y[j] = alpha * acc[(slot + j * stride) * batch + b] +
+                       beta * yi[j];
+        }
+    });
+    result.cycles = decoded_phase_stats(img, options);
+    apply_y_phase(result.cycles, img.rows(), options);
     result.batch_cycles = batch_cycle_stats(img, batch, options);
     return result;
 }

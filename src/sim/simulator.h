@@ -41,6 +41,7 @@
 #include "encode/image.h"
 #include "sim/cycle_stats.h"
 #include "sim/decoded_image.h"
+#include "sim/walk.h"
 
 namespace serpens::sim {
 
@@ -96,16 +97,28 @@ SimResult simulate_spmv(const encode::SerpensImage& img,
 
 // Same machine, decode-once engine: per-element field unpacking happened
 // once in DecodedImage::decode, so repeated calls stream flat SoA arrays.
+// Runs the host's B=1 kernel (host_walk_kernel()).
 SimResult simulate_spmv_decoded(const DecodedImage& img,
                                 std::span<const float> x,
                                 std::span<const float> y_in, float alpha,
                                 float beta, const SimOptions& options = {});
 
+// The same engine on a named B=1 kernel, which must be supported: the
+// differential tests and tools/sim_smoke hold the scalar kernel as the
+// oracle of the SIMD one through this overload.
+SimResult simulate_spmv_decoded(const DecodedImage& img,
+                                std::span<const float> x,
+                                std::span<const float> y_in, float alpha,
+                                float beta, const SimOptions& options,
+                                WalkKernel kernel);
+
 // One decoded pass over B right-hand sides: for each b,
 // y[b] = alpha * A * xs[b] + beta * ys_in[b], with the accumulator blocked
 // across columns so each decoded element is applied to all B vectors while
 // it is hot. Every xs[b] must have img.cols() entries and every ys_in[b]
-// img.rows(); xs and ys_in must be the same (non-zero) length.
+// img.rows(); xs and ys_in must be the same (non-zero) length. At B = 1
+// (most served batches) this is the single-vector walk on the host's B=1
+// kernel, with no column-interleave copy of x.
 SimBatchResult simulate_spmv_batch(const DecodedImage& img,
                                    std::span<const std::vector<float>> xs,
                                    std::span<const std::vector<float>> ys_in,

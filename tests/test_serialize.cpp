@@ -320,6 +320,45 @@ TEST(Serialize, DecodeRejectsReservedIndexBit)
     expect_decode_rejects(Corruption::reserved);
 }
 
+TEST(Serialize, DecodeRejectsColumnBeyondCols)
+{
+    // One channel, window 16, 20 columns: segment 1 is 4 columns wide, but
+    // its elements' 14-bit col_off can still name offsets 4..15. An
+    // element at col_off 10 there would be column 26 of a 20-float x.
+    sparse::CooMatrix m(4, 20);
+    m.add(0, 19, 2.0f);
+    m.add(1, 2, 3.0f);
+    EncodeParams p;
+    p.ha_channels = 1;
+    p.window = 16;
+    const SerpensImage good = encode_matrix(m, p);
+    ASSERT_EQ(good.num_segments(), 2u);
+    EXPECT_NO_THROW(core::PreparedMatrix::from_image(good));
+
+    SerpensImage bad = good;
+    hbm::ChannelStream& stream = bad.mutable_channel(0);
+    const std::size_t line_at = bad.segment_lines(0, 0);
+    ASSERT_EQ(bad.segment_lines(0, 1), 1u);
+    hbm::Line512 line = stream.line(line_at);
+    const auto e = EncodedElement::from_bits(line.lane64(0));
+    ASSERT_TRUE(e.valid());
+    ASSERT_EQ(e.col_off(), 3u);
+    line.set_lane64(
+        0, EncodedElement::make(e.pair_addr(), e.half(), 10, e.value()).bits());
+    hbm::ChannelStream edited(stream.name());
+    for (std::size_t j = 0; j < stream.size(); ++j)
+        edited.push(j == line_at ? line : stream.line(j));
+    stream = std::move(edited);
+
+    for (const std::uint32_t version : {1u, 2u}) {
+        std::stringstream in(serialized_bytes(bad, version));
+        const SerpensImage loaded = load_image(in);
+        EXPECT_THROW(verify_image(loaded), CheckError) << "version " << version;
+        EXPECT_THROW(core::PreparedMatrix::from_image(loaded), CheckError)
+            << "version " << version;
+    }
+}
+
 TEST(Serialize, EmptyMatrixImageRoundTrips)
 {
     const sparse::CooMatrix m(64, 64);

@@ -253,8 +253,7 @@ int cmd_run(const CliArgs& args)
     double device_batch_ms = 0.0;
     double device_amortized_ms = 0.0;
     double total_ms = 0.0;
-    const auto host_start = std::chrono::steady_clock::now();
-    for (int it = 0; it < std::max(1, args.iters); ++it) {
+    const auto run_once = [&] {
         if (batch == 1) {
             results.assign(
                 1, acc.run(*prepared, xs[0], ys[0], args.alpha, args.beta));
@@ -266,12 +265,24 @@ int cmd_run(const CliArgs& args)
             device_amortized_ms = round.amortized_time_ms;
             results = std::move(round.per_vector);
         }
+    };
+    const auto ms_since = [](std::chrono::steady_clock::time_point start) {
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    // The first call pays one-time costs (cold caches, first-touch
+    // allocations); it is reported on its own line so host: covers only
+    // the timed iterations.
+    auto host_start = std::chrono::steady_clock::now();
+    run_once();
+    const double first_ms = ms_since(host_start);
+    host_start = std::chrono::steady_clock::now();
+    for (int it = 0; it < std::max(1, args.iters); ++it) {
+        run_once();
         total_ms += results[0].time_ms;
     }
-    const double host_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - host_start)
-            .count();
+    const double host_ms = ms_since(host_start);
     const core::RunResult& result = results[0];
 
     std::printf("matrix:  %u x %u, %llu nnz (padding %.4f)\n", rows, cols,
@@ -302,6 +313,8 @@ int cmd_run(const CliArgs& args)
                     batch_cycles.passes == 1 ? "" : "es",
                     device_amortized_ms);
     }
+    std::printf("first:   %.3f ms/SpMV (%u vector%s, warm-up call, not in host:)\n",
+                first_ms / batch, batch, batch == 1 ? "" : "s");
     std::printf("host:    %.3f ms/SpMV (%u vector%s x %d iteration%s)\n",
                 host_ms / (static_cast<double>(batch) *
                            std::max(1, args.iters)),
@@ -488,7 +501,8 @@ int cmd_help(std::FILE* out)
         "                   clustered (run only; default uniform,10000,200000)\n"
         "  --alpha A        scalar alpha (default 1.0)\n"
         "  --beta B         scalar beta  (default 0.0)\n"
-        "  --iters N        repeat the run N times, report mean time\n"
+        "  --iters N        repeat the run N times after one warm-up call,\n"
+        "                   report mean time\n"
         "  --batch B        run B right-hand-side vectors through one\n"
         "                   decoded pass per iteration (Sextans-style SpMM\n"
         "                   amortization; per-vector results are bit-\n"

@@ -9,6 +9,8 @@
 // decode-once PR exists for). The padded image rebuilt from the decoded
 // stream (DecodedImage::to_image, what a prepared matrix hands the WAL and
 // --save-image) must also serialize byte-identically to the encoded one.
+// It names the B=1 kernel the decoded engines ran (sim/walk.h); where
+// that is the AVX-512 kernel, the scalar kernel runs too and must match.
 //
 //   sim_smoke [--entries N] [--batch B] [--iters K]
 //
@@ -52,7 +54,7 @@ bool identical(const sim::SimResult& a, const sim::SimResult& b,
          a.cycles.traffic.bytes_read == b.cycles.traffic.bytes_read &&
          a.cycles.traffic.bytes_written == b.cycles.traffic.bytes_written;
     if (!ok)
-        std::fprintf(stderr, "FAIL: %s diverges from the packed reference\n",
+        std::fprintf(stderr, "FAIL: %s diverges from its reference\n",
                      label);
     return ok;
 }
@@ -123,12 +125,24 @@ int main(int argc, char** argv)
                                              beta, options);
         const double decoded_s = seconds_since(t0) / std::max(1, iters);
 
+        const sim::WalkKernel kernel = sim::host_walk_kernel();
         std::printf("packed:  %.4f s/SpMV\n", packed_s);
         std::printf("decode:  %.4f s once\n", decode_s);
-        std::printf("decoded: %.4f s/SpMV (%.1fx vs packed, %d iterations)\n",
-                    decoded_s, packed_s / decoded_s, std::max(1, iters));
+        std::printf("decoded: %.4f s/SpMV (%.1fx vs packed, %d iterations, "
+                    "%s B=1 kernel)\n",
+                    decoded_s, packed_s / decoded_s, std::max(1, iters),
+                    sim::walk_kernel_name(kernel));
 
         bool ok = identical(dec, packed[0], "decoded engine");
+        if (kernel != sim::WalkKernel::scalar) {
+            t0 = Clock::now();
+            const sim::SimResult scalar = sim::simulate_spmv_decoded(
+                decoded, xs[0], ys[0], alpha, beta, options,
+                sim::WalkKernel::scalar);
+            std::printf("scalar:  %.4f s/SpMV (B=1 fallback kernel, once)\n",
+                        seconds_since(t0));
+            ok = identical(scalar, dec, "scalar B=1 kernel") && ok;
+        }
 
         t0 = Clock::now();
         std::ostringstream rebuilt, encoded;
@@ -165,8 +179,10 @@ int main(int argc, char** argv)
         if (!ok)
             return 1;
         std::printf("OK: y + CycleStats bit-identical across packed, "
-                    "decoded, and batched engines (B=%u); rebuilt image "
-                    "byte-identical\n",
+                    "decoded (%s%s), and batched engines (B=%u); rebuilt "
+                    "image byte-identical\n",
+                    sim::walk_kernel_name(kernel),
+                    kernel != sim::WalkKernel::scalar ? " + scalar" : "",
                     batch);
         return 0;
     } catch (const std::exception& e) {
