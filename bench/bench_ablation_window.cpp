@@ -33,7 +33,7 @@ int main(int argc, char** argv)
         const auto prepared = acc.prepare(m);
         const auto run = acc.run(prepared, x, y);
         t.add_row({std::to_string(w),
-                   std::to_string(prepared.image().num_segments()),
+                   std::to_string(prepared.decoded().num_segments()),
                    std::to_string(run.cycles.x_load_cycles),
                    std::to_string(run.cycles.compute_cycles),
                    std::to_string(run.cycles.fill_cycles),

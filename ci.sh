@@ -33,6 +33,9 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" --target ingest_smoke
 # (the same lockdown the DecodedSim/BatchApps test suites pin at unit scale).
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target sim_smoke
 "${BUILD_DIR}/tools/sim_smoke" --entries 1000000 --batch 3 --iters 8
+# The same at W = 16384: the decoded index word then carries 14 column-offset
+# bits (18 + 14 of its 32), bit-checked scalar vs avx512 vs packed at scale.
+"${BUILD_DIR}/tools/sim_smoke" --window 16384 --entries 1000000 --batch 3 --iters 4
 
 # Release-mode serving smoke: concurrent clients through serve::Server
 # (registry admission, batch coalescing), every response bit-compared to a

@@ -27,7 +27,7 @@ int main()
     //    coalescing, and hazard-aware non-zero reordering.
     const core::PreparedMatrix prepared = acc.prepare(a);
     std::printf("encoded: %u segments, padding ratio %.4f\n",
-                prepared.image().num_segments(),
+                prepared.decoded().num_segments(),
                 prepared.encode_stats().padding_ratio());
 
     // 4. Run y = 1.0 * A * x + 0.5 * y.

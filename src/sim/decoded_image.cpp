@@ -1,6 +1,8 @@
 #include "sim/decoded_image.h"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 #include "encode/decode.h"
 #include "util/thread_pool.h"
@@ -11,24 +13,26 @@ using encode::EncodedElement;
 
 namespace {
 
-// Sets simd_ok's bit for every whole group whose accumulator offsets are
-// pairwise distinct. `slots` bounds acc_off (the channel's bank slice).
-// Each offset's last writer is stamped with its group's tag, so a repeat
-// within a group is one load; a wrapped tag can only flag a false repeat,
-// which leaves the group on the scalar path.
-void mark_conflict_free_groups(DecodedImage::Channel& c, std::size_t slots)
+// Sets simd_ok's bit for every whole group whose accumulator offsets
+// (idx >> col_bits) are pairwise distinct. `slots` bounds the offsets (the
+// channel's bank slice). Each offset's last writer is stamped with its
+// group's tag, so a repeat within a group is one load; a wrapped tag can
+// only flag a false repeat, which leaves the group on the scalar path.
+void mark_conflict_free_groups(DecodedImage::Channel& c, std::size_t slots,
+                               unsigned col_bits)
 {
     constexpr std::size_t kG = DecodedImage::kSimdGroup;
-    const std::size_t groups = c.acc_off.size() / kG;
+    const std::size_t groups = c.idx.size() / kG;
     c.simd_ok.assign((groups + 63) / 64, 0);
     std::vector<std::uint32_t> stamp(slots, 0);
     for (std::size_t g = 0; g < groups; ++g) {
-        const std::uint32_t* const o = c.acc_off.data() + g * kG;
+        const std::uint32_t* const w = c.idx.data() + g * kG;
         const auto tag = static_cast<std::uint32_t>(g + 1);
         bool repeat = false;
         for (std::size_t i = 0; i < kG; ++i) {
-            repeat |= stamp[o[i]] == tag;
-            stamp[o[i]] = tag;
+            const std::uint32_t o = w[i] >> col_bits;
+            repeat |= stamp[o] == tag;
+            stamp[o] = tag;
         }
         if (!repeat)
             c.simd_ok[g / 64] |= std::uint64_t{1} << (g % 64);
@@ -59,6 +63,17 @@ DecodedImage DecodedImage::decode(const encode::SerpensImage& img,
     const unsigned lanes = d.params_.pes_per_channel;
     const sparse::index_t window = d.params_.window;
     const std::uint32_t ua = d.used_addrs_;
+    // The bit budget of Channel::idx: acc_off above col_bits column bits.
+    const unsigned col_bits = d.col_bits();
+    const auto acc_bits = static_cast<unsigned>(
+        std::bit_width(std::uint64_t{lanes} * 2 * ua - 1));
+    SERPENS_ASSERT(acc_bits + col_bits <= 32,
+                   "accumulator offset (" + std::to_string(acc_bits) +
+                       " bits for " + std::to_string(ua) +
+                       " used URAM addresses) and column offset (" +
+                       std::to_string(col_bits) + " bits for window " +
+                       std::to_string(window) +
+                       ") overflow the 32-bit decoded index word");
     d.channels_.resize(img.channels());
 
     util::shared_parallel_for(options.threads, img.channels(), [&](std::size_t ch) {
@@ -69,8 +84,7 @@ DecodedImage DecodedImage::decode(const encode::SerpensImage& img,
         c.seg_lines.resize(segments);
         c.lane_mask.reserve(stream.size());
         const std::size_t slot_bound = stream.size() * lanes;
-        c.acc_off.reserve(slot_bound);
-        c.col.reserve(slot_bound);
+        c.idx.reserve(slot_bound);
         c.value.reserve(slot_bound);
 
         std::size_t cursor = 0;
@@ -101,10 +115,10 @@ DecodedImage DecodedImage::decode(const encode::SerpensImage& img,
                                    "element addresses a column beyond the "
                                    "image's column range");
                     mask = static_cast<std::uint8_t>(mask | (1u << lane));
-                    c.acc_off.push_back(
+                    const std::uint32_t acc_off =
                         ((e.pair_addr() * lanes + lane) << 1) |
-                        (e.half() ? 1u : 0u));
-                    c.col.push_back(seg_base + e.col_off());
+                        (e.half() ? 1u : 0u);
+                    c.idx.push_back((acc_off << col_bits) | e.col_off());
                     c.value.push_back(e.value());
                 }
                 c.lane_mask.push_back(mask);
@@ -112,9 +126,8 @@ DecodedImage DecodedImage::decode(const encode::SerpensImage& img,
             cursor += lines;
         }
         c.seg_begin.push_back(c.value.size());
-        mark_conflict_free_groups(c, std::size_t{lanes} * 2 * ua);
-        c.acc_off.shrink_to_fit();
-        c.col.shrink_to_fit();
+        mark_conflict_free_groups(c, std::size_t{lanes} * 2 * ua, col_bits);
+        c.idx.shrink_to_fit();
         c.value.shrink_to_fit();
     });
 
@@ -135,6 +148,8 @@ encode::SerpensImage DecodedImage::to_image() const
 {
     encode::SerpensImage img(params_, rows_, cols_);
     const unsigned lanes = params_.pes_per_channel;
+    const unsigned col_bits = this->col_bits();
+    const std::uint32_t col_mask = (1u << col_bits) - 1;
     for (unsigned ch = 0; ch < channels(); ++ch) {
         const Channel& c = channels_[ch];
         hbm::ChannelStream& stream = img.mutable_channel(ch);
@@ -142,7 +157,6 @@ encode::SerpensImage DecodedImage::to_image() const
         std::size_t line_at = 0, elem = 0;
         for (unsigned seg = 0; seg < num_segments(); ++seg) {
             img.set_segment_lines(ch, seg, c.seg_lines[seg]);
-            const std::uint32_t seg_base = seg * params_.window;
             for (std::uint32_t i = 0; i < c.seg_lines[seg]; ++i, ++line_at) {
                 // Padding lanes stay all-zero (decode enforced that they
                 // were); valid lanes take the next elements in lane order.
@@ -150,11 +164,11 @@ encode::SerpensImage DecodedImage::to_image() const
                 for (unsigned lane = 0; lane < lanes; ++lane) {
                     if (((c.lane_mask[line_at] >> lane) & 1u) == 0)
                         continue;
-                    const std::uint32_t off = c.acc_off[elem];
+                    const std::uint32_t w = c.idx[elem];
+                    const std::uint32_t off = w >> col_bits;
                     line.set_lane64(lane, EncodedElement::make(
                                               (off >> 1) / lanes,
-                                              (off & 1u) != 0,
-                                              c.col[elem] - seg_base,
+                                              (off & 1u) != 0, w & col_mask,
                                               c.value[elem])
                                               .bits());
                     ++elem;
@@ -171,8 +185,7 @@ std::uint64_t DecodedImage::memory_bytes() const
 {
     std::uint64_t bytes = 0;
     for (const Channel& c : channels_) {
-        bytes += c.acc_off.size() * sizeof(std::uint32_t);
-        bytes += c.col.size() * sizeof(std::uint32_t);
+        bytes += c.idx.size() * sizeof(std::uint32_t);
         bytes += c.value.size() * sizeof(float);
         bytes += c.seg_begin.size() * sizeof(std::size_t);
         bytes += c.seg_lines.size() * sizeof(std::uint32_t);

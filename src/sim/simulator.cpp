@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 
 #include "encode/decode.h"
 #include "util/bitpack.h"
@@ -256,52 +257,56 @@ BatchCycleStats batch_stats_impl(unsigned num_segments, index_t rows,
     return s;
 }
 
-// Blocked-accumulator walk of one channel with the batch width as a
-// compile-time constant: the b-loop fully unrolls (and vectorizes at 4/8),
-// which is where the per-element amortization over the single-vector walk
-// comes from. Unrolling never reorders ops within a column, so per-column
-// results stay bit-identical to the runtime-width fallback.
-template <std::size_t B>
-void walk_channel_batch(const DecodedImage::Channel& c, float* bank,
-                        const float* xi)
+// Blocked-accumulator walk of one channel at batch width `batch`: a
+// std::integral_constant for B <= 8, so the b-loop fully unrolls — which
+// is where the per-element amortization over the single-vector walk comes
+// from — or a runtime std::size_t above. Each segment extent reads x off
+// its own base (xi + s * window * B) and unpacks each index word inline:
+// one shift, one mask. Neither unrolling nor the per-segment base
+// reorders ops within a column, so per-column results stay bit-identical
+// to a single-vector run.
+template <typename BatchWidth>
+void walk_channel_batch(const DecodedImage& img, unsigned ch, float* bank,
+                        const float* xi, BatchWidth batch)
 {
-    const std::uint32_t* const off = c.acc_off.data();
-    const std::uint32_t* const col = c.col.data();
+    const DecodedImage::Channel& c = img.channel(ch);
+    const std::uint32_t* const idx = c.idx.data();
     const float* const val = c.value.data();
-    const std::size_t n = c.value.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        float* const a = bank + static_cast<std::size_t>(off[i]) * B;
-        const float* const xv = xi + static_cast<std::size_t>(col[i]) * B;
-        const float v = val[i];
-        for (std::size_t b = 0; b < B; ++b)
-            a[b] += v * xv[b];
+    const unsigned shift = img.col_bits();
+    const std::uint32_t mask = (1u << shift) - 1;
+    const std::size_t seg_stride =
+        static_cast<std::size_t>(img.params().window) * batch;
+    for (std::size_t seg = 0; seg + 1 < c.seg_begin.size(); ++seg) {
+        const float* const xs = xi + seg * seg_stride;
+        for (std::size_t i = c.seg_begin[seg]; i < c.seg_begin[seg + 1]; ++i) {
+            const std::uint32_t w = idx[i];
+            float* const a =
+                bank + static_cast<std::size_t>(w >> shift) * batch;
+            const float* const xv =
+                xs + static_cast<std::size_t>(w & mask) * batch;
+            const float v = val[i];
+            for (std::size_t b = 0; b < batch; ++b)
+                a[b] += v * xv[b];
+        }
     }
 }
 
-void walk_channel_batch_n(const DecodedImage::Channel& c, float* bank,
+template <std::size_t B>
+using Width = std::integral_constant<std::size_t, B>;
+
+void walk_channel_batch_n(const DecodedImage& img, unsigned ch, float* bank,
                           const float* xi, std::size_t batch)
 {
     switch (batch) {
-    case 2: return walk_channel_batch<2>(c, bank, xi);
-    case 3: return walk_channel_batch<3>(c, bank, xi);
-    case 4: return walk_channel_batch<4>(c, bank, xi);
-    case 5: return walk_channel_batch<5>(c, bank, xi);
-    case 6: return walk_channel_batch<6>(c, bank, xi);
-    case 7: return walk_channel_batch<7>(c, bank, xi);
-    case 8: return walk_channel_batch<8>(c, bank, xi);
+    case 2: return walk_channel_batch(img, ch, bank, xi, Width<2>{});
+    case 3: return walk_channel_batch(img, ch, bank, xi, Width<3>{});
+    case 4: return walk_channel_batch(img, ch, bank, xi, Width<4>{});
+    case 5: return walk_channel_batch(img, ch, bank, xi, Width<5>{});
+    case 6: return walk_channel_batch(img, ch, bank, xi, Width<6>{});
+    case 7: return walk_channel_batch(img, ch, bank, xi, Width<7>{});
+    case 8: return walk_channel_batch(img, ch, bank, xi, Width<8>{});
     default:
-        break;
-    }
-    const std::uint32_t* const off = c.acc_off.data();
-    const std::uint32_t* const col = c.col.data();
-    const float* const val = c.value.data();
-    const std::size_t n = c.value.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        float* const a = bank + static_cast<std::size_t>(off[i]) * batch;
-        const float* const xv = xi + static_cast<std::size_t>(col[i]) * batch;
-        const float v = val[i];
-        for (std::size_t b = 0; b < batch; ++b)
-            a[b] += v * xv[b];
+        return walk_channel_batch(img, ch, bank, xi, batch);
     }
 }
 
@@ -348,13 +353,10 @@ void for_each_row_block(const DecodedImage& img, Block&& block)
 std::vector<float> walk_single(const DecodedImage& img, const float* x,
                                WalkKernel kernel, unsigned threads)
 {
-    // The SIMD kernel gathers x through signed 32-bit indices.
-    if (img.cols() > static_cast<index_t>(INT32_MAX))
-        kernel = WalkKernel::scalar;
     const std::size_t slice = bank_slice(img);
     std::vector<float> acc(img.channels() * slice, 0.0f);
     util::shared_parallel_for(threads, img.channels(), [&](std::size_t ch) {
-        walk_channel(kernel, img.channel(static_cast<unsigned>(ch)),
+        walk_channel(kernel, img, static_cast<unsigned>(ch),
                      acc.data() + ch * slice, x);
     });
     return acc;
@@ -434,7 +436,7 @@ SimBatchResult simulate_spmv_batch(const DecodedImage& img,
         const std::size_t slice = bank_slice(img) * batch;
         acc.assign(img.channels() * slice, 0.0f);
         util::shared_parallel_for(options.threads, img.channels(), [&](std::size_t ch) {
-            walk_channel_batch_n(img.channel(static_cast<unsigned>(ch)),
+            walk_channel_batch_n(img, static_cast<unsigned>(ch),
                                  acc.data() + ch * slice, xi.data(), batch);
         });
     }

@@ -13,42 +13,62 @@
 namespace serpens::sim {
 namespace {
 
-void walk_scalar(const DecodedImage::Channel& c, float* bank, const float* x,
+// One channel's (idx, value) stream and how to unpack it.
+struct Stream {
+    const std::uint32_t* idx;
+    const float* val;
+    unsigned shift;      // col_bits
+    std::uint32_t mask;  // (1 << col_bits) - 1
+};
+
+// Elements [begin, end) of one segment extent; xs is the segment's x base.
+void walk_scalar(const Stream& s, float* bank, const float* xs,
                  std::size_t begin, std::size_t end)
 {
-    const std::uint32_t* const off = c.acc_off.data();
-    const std::uint32_t* const col = c.col.data();
-    const float* const val = c.value.data();
-    for (std::size_t i = begin; i < end; ++i)
-        bank[off[i]] += val[i] * x[col[i]];
+    for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t w = s.idx[i];
+        bank[w >> s.shift] += s.val[i] * xs[w & s.mask];
+    }
 }
 
 #if SERPENS_WALK_AVX512
 __attribute__((target("avx2,avx512f,avx512vl")))
-void walk_avx512(const DecodedImage::Channel& c, float* bank, const float* x)
+void walk_avx512(const Stream& s, const DecodedImage::Channel& c, float* bank,
+                 const float* x, std::size_t window)
 {
     constexpr std::size_t kG = DecodedImage::kSimdGroup;
     static_assert(kG == 8, "one __m256 lane per group element");
-    const std::uint32_t* const off = c.acc_off.data();
-    const std::uint32_t* const col = c.col.data();
-    const float* const val = c.value.data();
-    const std::size_t groups = c.value.size() / kG;
-    for (std::size_t g = 0; g < groups; ++g) {
-        const std::size_t i = g * kG;
-        if (((c.simd_ok[g / 64] >> (g % 64)) & 1u) == 0) {
-            walk_scalar(c, bank, x, i, i + kG);
+    const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(s.shift));
+    const __m256i mask = _mm256_set1_epi32(static_cast<int>(s.mask));
+    for (std::size_t seg = 0; seg + 1 < c.seg_begin.size(); ++seg) {
+        const float* const xs = x + seg * window;
+        const std::size_t begin = c.seg_begin[seg], end = c.seg_begin[seg + 1];
+        // Whole groups [g0, g1) inside the extent; the ragged head and
+        // tail around them run scalar.
+        const std::size_t g0 = (begin + kG - 1) / kG, g1 = end / kG;
+        if (g0 >= g1) {
+            walk_scalar(s, bank, xs, begin, end);
             continue;
         }
-        const __m256i o =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(off + i));
-        const __m256i j =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + i));
-        const __m256 prod =
-            _mm256_mul_ps(_mm256_loadu_ps(val + i), _mm256_i32gather_ps(x, j, 4));
-        const __m256 sum = _mm256_add_ps(_mm256_i32gather_ps(bank, o, 4), prod);
-        _mm256_i32scatter_ps(bank, o, sum, 4);
+        walk_scalar(s, bank, xs, begin, g0 * kG);
+        for (std::size_t g = g0; g < g1; ++g) {
+            const std::size_t i = g * kG;
+            if (((c.simd_ok[g / 64] >> (g % 64)) & 1u) == 0) {
+                walk_scalar(s, bank, xs, i, i + kG);
+                continue;
+            }
+            const __m256i w =
+                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(s.idx + i));
+            const __m256i o = _mm256_srl_epi32(w, shift);
+            const __m256i j = _mm256_and_si256(w, mask);
+            const __m256 prod = _mm256_mul_ps(_mm256_loadu_ps(s.val + i),
+                                              _mm256_i32gather_ps(xs, j, 4));
+            const __m256 sum =
+                _mm256_add_ps(_mm256_i32gather_ps(bank, o, 4), prod);
+            _mm256_i32scatter_ps(bank, o, sum, 4);
+        }
+        walk_scalar(s, bank, xs, g1 * kG, end);
     }
-    walk_scalar(c, bank, x, groups * kG, c.value.size());
 }
 #endif
 
@@ -80,16 +100,22 @@ const char* walk_kernel_name(WalkKernel kernel)
     return kernel == WalkKernel::avx512 ? "avx512" : "scalar";
 }
 
-void walk_channel(WalkKernel kernel, const DecodedImage::Channel& c,
+void walk_channel(WalkKernel kernel, const DecodedImage& img, unsigned ch,
                   float* bank, const float* x)
 {
     SERPENS_CHECK(walk_kernel_supported(kernel),
                   "B=1 walk kernel not supported on this host");
+    const DecodedImage::Channel& c = img.channel(ch);
+    const Stream s{c.idx.data(), c.value.data(), img.col_bits(),
+                   (1u << img.col_bits()) - 1};
+    const std::size_t window = img.params().window;
 #if SERPENS_WALK_AVX512
     if (kernel == WalkKernel::avx512)
-        return walk_avx512(c, bank, x);
+        return walk_avx512(s, c, bank, x, window);
 #endif
-    walk_scalar(c, bank, x, 0, c.value.size());
+    for (std::size_t seg = 0; seg + 1 < c.seg_begin.size(); ++seg)
+        walk_scalar(s, bank, x + seg * window, c.seg_begin[seg],
+                    c.seg_begin[seg + 1]);
 }
 
 } // namespace serpens::sim

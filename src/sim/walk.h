@@ -1,7 +1,11 @@
 // B=1 accumulation kernels of the decoded engines.
 //
-// A decoded channel is a flat (acc_off, col, value) stream; one SpMV is
-// bank[acc_off[i]] += value[i] * x[col[i]] in stream order. The encoder
+// A decoded channel is a flat (idx, value) stream, idx[i] packing
+// (acc_off << col_bits) | col_off; one SpMV is
+// bank[acc_off[i]] += value[i] * x[s * window + col_off[i]] in stream
+// order, s being the element's x segment. The kernels walk one segment
+// extent at a time off a per-segment x base, so they unpack each word with
+// one shift and one mask and never form an absolute column. The encoder
 // keeps updates to one URAM address at least T lines apart (paper §3.3),
 // so most aligned 8-element groups of the stream touch 8 distinct
 // accumulators — DecodedImage::Channel::simd_ok records which. Such a
@@ -10,11 +14,13 @@
 //
 //   scalar  one element at a time: the differential oracle of the SIMD
 //           kernel and the fallback on every other host and compiler
-//   avx512  8-wide gather(x), gather(bank), mul, add, scatter over the
-//           conflict-free groups; conflicting groups and the tail run
-//           scalar. A separate multiply and add (never a fused
-//           multiply-add) rounds exactly like the scalar kernel, so both
-//           kernels leave bit-identical banks.
+//   avx512  8-wide unpack (shift, and), gather(x), gather(bank), mul,
+//           add, scatter over the conflict-free groups that lie whole
+//           inside one segment extent; conflicting groups and a
+//           segment's ragged head and tail run scalar. A separate
+//           multiply and add (never a fused multiply-add) rounds exactly
+//           like the scalar kernel, so both kernels leave bit-identical
+//           banks.
 #pragma once
 
 #include "sim/decoded_image.h"
@@ -33,12 +39,11 @@ WalkKernel host_walk_kernel();
 
 const char* walk_kernel_name(WalkKernel kernel);
 
-// Accumulate every element of channel `c` into its bank slice `bank` with
-// `kernel` (which must be supported): bank[acc_off[i]] += value[i] *
-// x[col[i]], in stream order. Every col[i] must be a valid index into x;
-// the avx512 kernel's gathers index x with signed 32-bit lanes, so x may
-// hold at most 2^31 floats there.
-void walk_channel(WalkKernel kernel, const DecodedImage::Channel& c,
+// Accumulate every element of channel `ch` of `img` into its bank slice
+// `bank` with `kernel` (which must be supported), in stream order. x holds
+// img.cols() floats. The gathers index x with segment-relative column
+// offsets (< window <= 16384), so x's length puts no limit on them.
+void walk_channel(WalkKernel kernel, const DecodedImage& img, unsigned ch,
                   float* bank, const float* x);
 
 } // namespace serpens::sim

@@ -8,10 +8,18 @@
 // unpacking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <set>
+#include <sstream>
+#include <utility>
+
 #include "core/accelerator.h"
 #include "encode/image.h"
+#include "encode/serialize.h"
 #include "sim/decoded_image.h"
 #include "sim/simulator.h"
+#include "sim/walk.h"
 #include "sparse/generators.h"
 #include "util/bitpack.h"
 #include "util/rng.h"
@@ -85,8 +93,7 @@ TEST(DecodedSim, DecodeElidesPaddingAndKeepsExtents)
         ASSERT_EQ(c.seg_begin.size(), d.num_segments() + 1u);
         ASSERT_EQ(c.seg_begin.front(), 0u);
         ASSERT_EQ(c.seg_begin.back(), c.value.size());
-        ASSERT_EQ(c.acc_off.size(), c.value.size());
-        ASSERT_EQ(c.col.size(), c.value.size());
+        ASSERT_EQ(c.idx.size(), c.value.size());
         elems += c.value.size();
         // Per-segment line counts match the packed image's.
         for (unsigned s = 0; s < d.num_segments(); ++s)
@@ -111,8 +118,7 @@ TEST(DecodedSim, DecodeThreadCountsProduceIdenticalArrays)
         const auto parallel =
             sim::DecodedImage::decode(img, {.threads = threads});
         for (unsigned ch = 0; ch < serial.channels(); ++ch) {
-            EXPECT_EQ(parallel.channel(ch).acc_off, serial.channel(ch).acc_off);
-            EXPECT_EQ(parallel.channel(ch).col, serial.channel(ch).col);
+            EXPECT_EQ(parallel.channel(ch).idx, serial.channel(ch).idx);
             ASSERT_EQ(parallel.channel(ch).value.size(),
                       serial.channel(ch).value.size());
             for (std::size_t i = 0; i < serial.channel(ch).value.size(); ++i)
@@ -120,6 +126,136 @@ TEST(DecodedSim, DecodeThreadCountsProduceIdenticalArrays)
                           float_bits(serial.channel(ch).value[i]));
         }
     }
+}
+
+// --- the packed index word's bit budget ---
+//
+// idx = (acc_off << col_bits) | col_off must fit 32 bits. With one channel
+// (8 PEs) and coalescing, row r lands on acc_off (r / 16 * 8 + r / 2 % 8)
+// * 2 + r % 2, so the last row of a full U*D URAM takes the largest
+// accumulator offset, 16 * used_addrs - 1.
+
+encode::EncodeParams one_channel(unsigned urams_per_pe, sparse::index_t window)
+{
+    encode::EncodeParams p;
+    p.ha_channels = 1;
+    p.urams_per_pe = urams_per_pe;
+    p.uram_depth = 4096;
+    p.window = window;
+    return p;
+}
+
+TEST(DecodedSim, DecodeRefusesIndexWordOverBudget)
+{
+    // W = 16384 (14 column bits) with a 32k-address URAM: a row at or
+    // beyond 262144 reaches URAM address 16384, whose accumulator offset
+    // needs 19 bits.
+    const encode::EncodeParams p = one_channel(8, 16384);
+    sparse::CooMatrix over(262'145, 64);
+    over.add(262'144, 63, 1.0f);
+    const auto img = encode::encode_matrix(over, p);
+    try {
+        (void)sim::DecodedImage::decode(img);
+        FAIL() << "decode accepted a 19 + 14-bit index word";
+    } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("32-bit decoded index word"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // One row fewer stays inside 18 + 14 bits.
+    sparse::CooMatrix fits(262'144, 64);
+    fits.add(262'143, 63, 1.0f);
+    const auto d = sim::DecodedImage::decode(encode::encode_matrix(fits, p));
+    EXPECT_EQ(d.used_addrs(), 16'384u);
+    EXPECT_EQ(d.col_bits(), 14u);
+}
+
+std::string image_bytes(const encode::SerpensImage& img)
+{
+    std::ostringstream out;
+    encode::save_image(out, img);
+    return out.str();
+}
+
+// A matrix filling every row of a full URAM, plus elements at the largest
+// accumulator offset and the largest column offset of every segment:
+// decode must take it, the largest word must use all 32 bits, and every
+// engine must match the packed walk bit for bit.
+void expect_exact_budget_shape(const encode::EncodeParams& p)
+{
+    const sparse::index_t rows =
+        static_cast<sparse::index_t>(p.row_capacity());
+    const sparse::index_t cols = 2 * p.window + 100;
+    std::set<std::pair<sparse::index_t, sparse::index_t>> edge;
+    for (sparse::index_t c = p.window - 1; c < cols; c += p.window)
+        edge.insert({rows - 1, c});
+    edge.insert({rows - 1, cols - 1});
+    edge.insert({rows - 2, 0});
+    edge.insert({0, p.window - 1});
+    const sparse::CooMatrix fill =
+        sparse::make_uniform_random(rows, cols, 30'000, 97);
+    sparse::CooMatrix m(rows, cols);
+    for (const sparse::Triplet& t : fill.elements())
+        if (edge.count({t.row, t.col}) == 0)
+            m.add(t.row, t.col, t.val);
+    for (const auto& [r, c] : edge)
+        m.add(r, c, 0.5f + static_cast<float>(c % 7));
+
+    const auto img = encode::encode_matrix(m, p);
+    const auto d = sim::DecodedImage::decode(img);
+    ASSERT_EQ(d.used_addrs(), p.addrs_per_pe());
+    std::uint32_t widest = 0;
+    for (unsigned ch = 0; ch < d.channels(); ++ch)
+        for (const std::uint32_t w : d.channel(ch).idx)
+            widest = std::max(widest, w);
+    const std::uint32_t max_acc = 16 * d.used_addrs() - 1;
+    EXPECT_EQ(widest, (max_acc << d.col_bits()) | (p.window - 1));
+    EXPECT_EQ(std::bit_width(widest), 32);
+
+    EXPECT_EQ(image_bytes(d.to_image()), image_bytes(img));
+
+    constexpr std::size_t kMaxBatch = 8;
+    std::vector<std::vector<float>> xs, ys;
+    std::vector<sim::SimResult> packed;
+    for (std::size_t b = 0; b < kMaxBatch; ++b) {
+        const Vectors v = random_vectors(m, 500 + b);
+        xs.push_back(v.x);
+        ys.push_back(v.y);
+        packed.push_back(
+            sim::simulate_spmv(img, v.x, v.y, 1.25f, -0.5f, {}));
+    }
+    for (const sim::WalkKernel k : {sim::WalkKernel::scalar,
+                                    sim::WalkKernel::avx512}) {
+        if (!sim::walk_kernel_supported(k))
+            continue;
+        const auto r = sim::simulate_spmv_decoded(d, xs[0], ys[0], 1.25f,
+                                                  -0.5f, {}, k);
+        expect_y_equal(r.y, packed[0].y, sim::walk_kernel_name(k));
+        expect_stats_equal(r.cycles, packed[0].cycles,
+                           sim::walk_kernel_name(k));
+    }
+    for (const std::size_t batch : {std::size_t{3}, kMaxBatch}) {
+        const auto r = sim::simulate_spmv_batch(
+            d, std::span(xs.data(), batch), std::span(ys.data(), batch),
+            1.25f, -0.5f, {});
+        for (std::size_t b = 0; b < batch; ++b)
+            expect_y_equal(r.y[b], packed[b].y,
+                           "B=" + std::to_string(batch) + " column " +
+                               std::to_string(b));
+    }
+}
+
+TEST(DecodedSim, IndexWordFits18Plus14Bits)
+{
+    // W = 16384 with the default U * D = 12288.
+    expect_exact_budget_shape(one_channel(3, 16384));
+}
+
+TEST(DecodedSim, IndexWordFits19Plus13Bits)
+{
+    // W = 8192 with a full 32k-address URAM.
+    expect_exact_budget_shape(one_channel(8, 8192));
 }
 
 // --- decoded engine vs packed reference ---

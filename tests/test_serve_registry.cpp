@@ -43,8 +43,9 @@ TEST(ServeRegistry, FootprintIsTheDecodedStreamAlone)
     // after decode and rebuilt on demand, so they are not charged.
     const std::uint64_t footprint = prepared.memory_footprint_bytes();
     EXPECT_EQ(footprint, prepared.decoded().memory_bytes());
-    // The SoA arrays alone (12 B per element) bound it from below.
-    EXPECT_GE(footprint, prepared.nnz() * 12);
+    // The SoA arrays alone (8 B per element: one packed index word and
+    // one value) bound it from below.
+    EXPECT_GE(footprint, prepared.nnz() * 8);
     // The padded lines can be priced without a rebuild (the CLI's memory
     // line does): total_lines x 64 B is exactly what image() rebuilds.
     const encode::SerpensImage img = prepared.image();

@@ -97,16 +97,18 @@ void expect_kernels_match_packed(const encode::SerpensImage& img,
     expect_same({batch.y[0], batch.cycles}, packed, "batch of one");
 }
 
-bool group_distinct(const std::vector<std::uint32_t>& acc_off, std::size_t g)
+bool group_distinct(const std::vector<std::uint32_t>& idx, unsigned col_bits,
+                    std::size_t g)
 {
     std::set<std::uint32_t> seen;
     for (std::size_t i = 0; i < sim::DecodedImage::kSimdGroup; ++i)
-        seen.insert(acc_off[g * sim::DecodedImage::kSimdGroup + i]);
+        seen.insert(idx[g * sim::DecodedImage::kSimdGroup + i] >> col_bits);
     return seen.size() == sim::DecodedImage::kSimdGroup;
 }
 
-// simd_ok recounted from acc_off: one bit per whole group, set iff the
-// group's offsets are distinct, and no stray bit past the last group.
+// simd_ok recounted from the accumulator offsets in idx: one bit per whole
+// group, set iff the group's offsets are distinct, and no stray bit past
+// the last group.
 // Returns {groups, conflict-free groups}.
 std::pair<std::size_t, std::size_t> expect_simd_ok_recount(
     const sim::DecodedImage& d)
@@ -114,11 +116,11 @@ std::pair<std::size_t, std::size_t> expect_simd_ok_recount(
     std::size_t groups = 0, free = 0;
     for (unsigned ch = 0; ch < d.channels(); ++ch) {
         const sim::DecodedImage::Channel& c = d.channel(ch);
-        const std::size_t n = c.acc_off.size() / sim::DecodedImage::kSimdGroup;
+        const std::size_t n = c.idx.size() / sim::DecodedImage::kSimdGroup;
         EXPECT_EQ(c.simd_ok.size(), (n + 63) / 64) << "channel " << ch;
         for (std::size_t g = 0; g < c.simd_ok.size() * 64; ++g) {
             const bool bit = ((c.simd_ok[g / 64] >> (g % 64)) & 1u) != 0;
-            const bool want = g < n && group_distinct(c.acc_off, g);
+            const bool want = g < n && group_distinct(c.idx, d.col_bits(), g);
             EXPECT_EQ(bit, want) << "channel " << ch << " group " << g;
             free += bit ? 1 : 0;
         }
@@ -267,8 +269,7 @@ TEST(SimdWalkStreams, BitsetIsCountedInMemoryBytes)
     for (unsigned ch = 0; ch < d.channels(); ++ch) {
         const auto& c = d.channel(ch);
         bitset += c.simd_ok.size() * sizeof(std::uint64_t);
-        rest += (c.acc_off.size() + c.col.size() + c.value.size() +
-                 c.seg_lines.size()) * 4 +
+        rest += (c.idx.size() + c.value.size() + c.seg_lines.size()) * 4 +
                 c.seg_begin.size() * sizeof(std::size_t) + c.lane_mask.size();
     }
     rest += d.num_segments() * 4 +

@@ -12,7 +12,10 @@
 // It names the B=1 kernel the decoded engines ran (sim/walk.h); where
 // that is the AVX-512 kernel, the scalar kernel runs too and must match.
 //
-//   sim_smoke [--entries N] [--batch B] [--iters K]
+//   sim_smoke [--entries N] [--batch B] [--iters K] [--window W]
+//
+// --window sets the x-segment length (default 8192); at 16384 the decoded
+// index word splits 18 + 14 bits instead of 19 + 13.
 //
 // Exit code 0 on success, 1 on any mismatch or error.
 #include <chrono>
@@ -66,6 +69,7 @@ int main(int argc, char** argv)
     std::uint64_t entries = 1'000'000;
     unsigned batch = 3;
     int iters = 8;
+    encode::EncodeParams params;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--entries") == 0 && i + 1 < argc)
             entries = std::strtoull(argv[++i], nullptr, 10);
@@ -73,10 +77,14 @@ int main(int argc, char** argv)
             batch = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
         else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc)
             iters = std::atoi(argv[++i]);
+        else if (std::strcmp(argv[i], "--window") == 0 && i + 1 < argc)
+            params.window = static_cast<sparse::index_t>(
+                std::strtoul(argv[++i], nullptr, 10));
         else {
             std::fprintf(
                 stderr,
-                "usage: sim_smoke [--entries N] [--batch B] [--iters K]\n");
+                "usage: sim_smoke [--entries N] [--batch B] [--iters K] "
+                "[--window W]\n");
             return 1;
         }
     }
@@ -84,11 +92,13 @@ int main(int argc, char** argv)
     try {
         const auto n = static_cast<sparse::index_t>(
             std::max<std::uint64_t>(65'536, entries / 16));
-        std::printf("encoding %llu-entry uniform matrix (%u x %u)...\n",
-                    static_cast<unsigned long long>(entries), n, n);
+        std::printf("encoding %llu-entry uniform matrix (%u x %u, window "
+                    "%u)...\n",
+                    static_cast<unsigned long long>(entries), n, n,
+                    params.window);
         const auto m = sparse::make_uniform_random(
             n, n, static_cast<sparse::nnz_t>(entries), 1);
-        const auto img = encode::encode_matrix(m, {}, {.threads = 0});
+        const auto img = encode::encode_matrix(m, params, {.threads = 0});
 
         Rng rng(11);
         std::vector<std::vector<float>> xs(batch, std::vector<float>(n));
