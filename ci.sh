@@ -12,6 +12,25 @@ cmake -B "${BUILD_DIR}" -S . -DSERPENS_WERROR=ON
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 
+# FMA contraction guard: the engines are bit-identical to the packed oracle
+# only while every walk rounds its multiply and add separately, which
+# src/sim/CMakeLists.txt enforces with -ffp-contract=off per file. The
+# default x86-64 target has no FMA, so the build above cannot notice a file
+# that loses the flag; this one can, because -mfma lets the compiler fuse.
+# Skipped, and said so, on a CPU without FMA, which could not run it.
+if grep -qw fma /proc/cpuinfo 2>/dev/null; then
+  cmake -B "${BUILD_DIR}-fma" -S . -DSERPENS_WERROR=ON \
+      -DCMAKE_CXX_FLAGS="-mavx2 -mfma" \
+      -DSERPENS_BUILD_BENCH=OFF -DSERPENS_BUILD_EXAMPLES=OFF
+  cmake --build "${BUILD_DIR}-fma" -j "${JOBS}" \
+      --target test_decoded_sim test_batch_apps test_simd_walk
+  for t in test_decoded_sim test_batch_apps test_simd_walk; do
+    "${BUILD_DIR}-fma/tests/${t}" --gtest_brief=1
+  done
+else
+  echo "ci.sh: skipping the FMA contraction guard: /proc/cpuinfo lists no fma"
+fi
+
 # The seeded benchmark (perfbench/) is its own CMake project over the same
 # src/, which the build above never configures: build it into its own
 # directory so a library API change cannot break it unseen, and
@@ -33,6 +52,9 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}" --target ingest_smoke
 # (the same lockdown the DecodedSim/BatchApps test suites pin at unit scale).
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target sim_smoke
 "${BUILD_DIR}/tools/sim_smoke" --entries 1000000 --batch 3 --iters 8
+# B=8 runs the batched walk's 4-wide vector body twice per element; B=3
+# above runs only its scalar remainder.
+"${BUILD_DIR}/tools/sim_smoke" --entries 1000000 --batch 8 --iters 4
 # The same at W = 16384: the decoded index word then carries 14 column-offset
 # bits (18 + 14 of its 32), bit-checked scalar vs avx512 vs packed at scale.
 "${BUILD_DIR}/tools/sim_smoke" --window 16384 --entries 1000000 --batch 3 --iters 4

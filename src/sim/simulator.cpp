@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 
 #include "encode/decode.h"
@@ -257,14 +258,21 @@ BatchCycleStats batch_stats_impl(unsigned num_segments, index_t rows,
     return s;
 }
 
+// Four floats in one SSE2 / NEON register. memcpy loads and stores keep
+// the bank and x unaligned and free of aliasing assumptions.
+using Float4 = float __attribute__((vector_size(16)));
+
 // Blocked-accumulator walk of one channel at batch width `batch`: a
 // std::integral_constant for B <= 8, so the b-loop fully unrolls — which
 // is where the per-element amortization over the single-vector walk comes
 // from — or a runtime std::size_t above. Each segment extent reads x off
 // its own base (xi + s * window * B) and unpacks each index word inline:
-// one shift, one mask. Neither unrolling nor the per-segment base
-// reorders ops within a column, so per-column results stay bit-identical
-// to a single-vector run.
+// one shift, one mask. The b-loop runs batch / 4 Float4 steps, the value
+// broadcast, then a scalar loop over the batch % 4 remaining columns.
+// Each lane is one column's multiply and add, two roundings
+// (-ffp-contract=off), so neither unrolling, the vector steps nor the
+// per-segment base reorders ops within a column, and per-column results
+// stay bit-identical to a single-vector run.
 template <typename BatchWidth>
 void walk_channel_batch(const DecodedImage& img, unsigned ch, float* bank,
                         const float* xi, BatchWidth batch)
@@ -285,7 +293,15 @@ void walk_channel_batch(const DecodedImage& img, unsigned ch, float* bank,
             const float* const xv =
                 xs + static_cast<std::size_t>(w & mask) * batch;
             const float v = val[i];
-            for (std::size_t b = 0; b < batch; ++b)
+            std::size_t b = 0;
+            for (; b + 4 <= batch; b += 4) {
+                Float4 acc{}, xb{};
+                std::memcpy(&acc, a + b, sizeof acc);
+                std::memcpy(&xb, xv + b, sizeof xb);
+                acc += v * xb;
+                std::memcpy(a + b, &acc, sizeof acc);
+            }
+            for (; b < batch; ++b)
                 a[b] += v * xv[b];
         }
     }

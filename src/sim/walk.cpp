@@ -1,6 +1,7 @@
-// Compiled with -ffp-contract=off (src/sim/CMakeLists.txt): the kernels'
-// multiply and add must stay two roundings, as in the packed oracle,
-// whatever instructions the target attribute makes available.
+// Compiled with -ffp-contract=off, like simulator.cpp, which holds the
+// packed oracle and the batched walk (src/sim/CMakeLists.txt): the
+// kernels' multiply and add must stay two roundings, as in the packed
+// oracle, whatever instructions the target attribute makes available.
 #include "sim/walk.h"
 
 #include "util/check.h"

@@ -13,6 +13,7 @@
 #include "sim/simulator.h"
 #include "sparse/generators.h"
 #include "util/bitpack.h"
+#include "util/rng.h"
 
 namespace serpens::apps {
 namespace {
@@ -116,6 +117,42 @@ TEST(BatchApps, PageRankIdenticalAcrossEnginesAndThreads)
         EXPECT_DOUBLE_EQ(r.delta, oracle.delta) << label;
         EXPECT_DOUBLE_EQ(r.modeled_ms, serial.modeled_ms) << label;
         expect_ranks_identical(r.rank, oracle.rank, label);
+    }
+}
+
+// --- run_batch at B = 4: one whole vector step, no scalar remainder ---
+
+TEST(BatchApps, RunBatchOfFourMatchesPackedOracle)
+{
+    const CooMatrix g = sparse::make_rmat(9, 8, 17);
+    const auto n = static_cast<std::size_t>(g.rows());
+    std::vector<std::vector<float>> xs(4, std::vector<float>(n));
+    std::vector<std::vector<float>> ys(4, std::vector<float>(n));
+    Rng rng(19);
+    for (std::size_t b = 0; b < xs.size(); ++b) {
+        for (float& f : xs[b])
+            f = rng.next_float(-1.0f, 1.0f);
+        for (float& f : ys[b])
+            f = rng.next_float(-1.0f, 1.0f);
+    }
+
+    for (const unsigned threads : {1u, 8u}) {
+        const core::Accelerator acc = make_accelerator(threads);
+        const core::PreparedMatrix prepared = acc.prepare(g);
+        const encode::SerpensImage img = prepared.image();
+        const core::BatchRunResult batched =
+            acc.run_batch(prepared, xs, ys, 0.75f, -1.5f);
+        ASSERT_EQ(batched.size(), xs.size());
+        for (std::size_t b = 0; b < xs.size(); ++b) {
+            const sim::SimResult oracle =
+                sim::simulate_spmv(img, xs[b], ys[b], 0.75f, -1.5f);
+            const std::string label = "threads=" + std::to_string(threads) +
+                                      " col " + std::to_string(b);
+            expect_ranks_identical(batched[b].y, oracle.y, label);
+            EXPECT_EQ(batched[b].cycles.compute_cycles,
+                      oracle.cycles.compute_cycles)
+                << label;
+        }
     }
 }
 

@@ -362,35 +362,60 @@ TEST(DecodedSim, NoCoalescingConfig)
 
 TEST(DecodedSim, BatchColumnsBitIdenticalToPackedRuns)
 {
-    const auto m = sparse::make_uniform_random(4096, 8192, 120'000, 59);
-    encode::EncodeParams params;
-    params.window = 1024;
-    const auto img = encode::encode_matrix(m, params);
-    const auto d = sim::DecodedImage::decode(img);
+    // Widths 2-8 run the compile-time-unrolled walk, 9/12/16 the runtime
+    // width; together they cover every batch % 4 remainder of the 4-wide
+    // vector body, with and without whole vector steps. The R-MAT matrix
+    // adds power-law rows, the coalescing = false image the stride-2
+    // bank.
+    struct Case {
+        std::string name;
+        sparse::CooMatrix m;
+        encode::EncodeParams params;
+        std::vector<unsigned> threads;
+    };
+    const std::vector<Case> cases = {
+        {"uniform", sparse::make_uniform_random(4096, 8192, 120'000, 59),
+         {.window = 1024}, {1u, 2u, 8u, 0u}},
+        {"rmat", sparse::make_rmat(12, 16, 67), {.window = 1024}, {1u, 8u}},
+        {"no-coalescing", sparse::make_uniform_random(1024, 1024, 30'000, 73),
+         {.window = 512, .coalescing = false}, {1u, 8u}},
+    };
 
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{8}, std::size_t{11}}) {
+    const std::vector<std::size_t> widths = {1, 2, 3, 4, 5, 6,
+                                             7, 8, 9, 12, 16};
+    const std::size_t max_width = widths.back();
+    for (const Case& c : cases) {
+        const auto img = encode::encode_matrix(c.m, c.params);
+        const auto d = sim::DecodedImage::decode(img);
+
+        // Column b is the same right-hand side at every width.
         std::vector<std::vector<float>> xs, ys;
-        for (std::size_t b = 0; b < batch; ++b) {
-            const Vectors v = random_vectors(m, 100 + b);
+        std::vector<sim::SimResult> packed;
+        for (std::size_t b = 0; b < max_width; ++b) {
+            const Vectors v = random_vectors(c.m, 100 + b);
             xs.push_back(v.x);
             ys.push_back(v.y);
+            packed.push_back(
+                sim::simulate_spmv(img, v.x, v.y, 1.5f, -0.25f, {}));
         }
-        for (const unsigned threads : {1u, 2u, 8u, 0u}) {
-            sim::SimOptions options;
-            options.threads = threads;
-            const auto batched =
-                sim::simulate_spmv_batch(d, xs, ys, 1.5f, -0.25f, options);
-            ASSERT_EQ(batched.y.size(), batch);
-            for (std::size_t b = 0; b < batch; ++b) {
-                const auto packed =
-                    sim::simulate_spmv(img, xs[b], ys[b], 1.5f, -0.25f, {});
-                const std::string label = "batch=" + std::to_string(batch) +
-                                          " threads=" +
-                                          std::to_string(threads) + " col " +
-                                          std::to_string(b);
-                expect_y_equal(batched.y[b], packed.y, label);
-                expect_stats_equal(batched.cycles, packed.cycles, label);
+        for (const std::size_t batch : widths) {
+            const std::span<const std::vector<float>> bx(xs.data(), batch);
+            const std::span<const std::vector<float>> by(ys.data(), batch);
+            for (const unsigned threads : c.threads) {
+                sim::SimOptions options;
+                options.threads = threads;
+                const auto batched = sim::simulate_spmv_batch(
+                    d, bx, by, 1.5f, -0.25f, options);
+                ASSERT_EQ(batched.y.size(), batch);
+                for (std::size_t b = 0; b < batch; ++b) {
+                    const std::string label =
+                        c.name + " batch=" + std::to_string(batch) +
+                        " threads=" + std::to_string(threads) + " col " +
+                        std::to_string(b);
+                    expect_y_equal(batched.y[b], packed[b].y, label);
+                    expect_stats_equal(batched.cycles, packed[b].cycles,
+                                       label);
+                }
             }
         }
     }
